@@ -573,7 +573,14 @@ impl ScenarioConfig {
                     "must be positive",
                 ));
             }
-            if !network.topology(self.machines).is_connected() {
+            // Every access link carries the node bandwidth and every uplink
+            // the rack bandwidth, so this is `NetTopology::is_connected`
+            // without building the fabric.
+            let live = |mbs: f64| {
+                let bps = mbs * MIB as f64;
+                bps.is_finite() && bps > 0.0
+            };
+            if !live(network.node_bandwidth_mbs) || !live(network.rack_bandwidth_mbs) {
                 return Err(McsError::invalid_config(
                     "network",
                     "topology must be connected (every link needs positive capacity)",
@@ -2158,6 +2165,21 @@ mod tests {
                 "network.rack_bandwidth_mbs",
                 ScenarioConfig::default().with_network(NetworkConfig {
                     rack_bandwidth_mbs: f64::NAN,
+                    ..NetworkConfig::default()
+                }),
+            ),
+            // Finite in MiB/s, but infinite once scaled to bytes/s.
+            (
+                "network",
+                ScenarioConfig::default().with_network(NetworkConfig {
+                    node_bandwidth_mbs: 1e303,
+                    ..NetworkConfig::default()
+                }),
+            ),
+            (
+                "network",
+                ScenarioConfig::default().with_network(NetworkConfig {
+                    rack_bandwidth_mbs: 1e303,
                     ..NetworkConfig::default()
                 }),
             ),

@@ -16,7 +16,7 @@
 //! the right actor — bigdata map/shuffle barriers, FaaS invocation
 //! payloads, RMS checkpoint restores, gaming state sync.
 
-use crate::flow::max_min_rates;
+use crate::flow::MaxMin;
 use crate::topology::{LinkId, NetTopology};
 use mcs_simcore::engine::{Actor, Context, EventToken, MessageEnvelope};
 use mcs_simcore::time::{SimDuration, SimTime};
@@ -176,10 +176,20 @@ struct ActiveFlow {
     stalled_since: Option<SimTime>,
 }
 
+impl AsRef<[LinkId]> for ActiveFlow {
+    fn as_ref(&self) -> &[LinkId] {
+        &self.links
+    }
+}
+
 /// The flow-level network model as a simulation actor.
 pub struct NetActor<'a, M = NetMsg> {
     topo: NetTopology,
     flows: Vec<ActiveFlow>,
+    /// The max-min solver and its output, one rate per entry of `flows`;
+    /// both are reused by every reallocation.
+    solver: MaxMin,
+    rates: Vec<f64>,
     /// Flows that drained their bytes and are riding out propagation latency.
     in_delivery: Vec<(u64, FlowDone)>,
     next_id: u64,
@@ -200,6 +210,8 @@ impl<'a, M: MessageEnvelope<NetMsg>> NetActor<'a, M> {
         NetActor {
             topo,
             flows: Vec::new(),
+            solver: MaxMin::default(),
+            rates: Vec::new(),
             in_delivery: Vec::new(),
             next_id: 0,
             last_update: SimTime::ZERO,
@@ -278,42 +290,40 @@ impl<'a, M: MessageEnvelope<NetMsg>> NetActor<'a, M> {
     /// (with `advance` already done).
     fn settle(&mut self, ctx: &mut Context<'_, M>) {
         let now = ctx.now();
-        let mut i = 0;
-        while i < self.flows.len() {
-            if self.flows[i].remaining <= DRAIN_EPS {
-                let f = self.flows.remove(i);
-                let latency_secs = f.latency.as_secs_f64();
-                let secs = now.saturating_since(f.started).as_secs_f64() + latency_secs;
-                let done = FlowDone {
-                    tag: f.tag,
-                    src: f.src,
-                    dst: f.dst,
-                    bytes: f.bytes,
-                    secs,
-                    ideal_secs: f.ideal_secs,
-                    aborted: false,
-                };
-                self.stall_secs += done.stall_secs();
-                ctx.emit_fields(
-                    NET_COMPONENT,
-                    "flow_end",
-                    &[
-                        ("owner", Field::Str(f.tag.owner.name())),
-                        ("id", Field::U64(f.tag.id)),
-                        ("src", Field::U64(u64::from(f.src))),
-                        ("dst", Field::U64(u64::from(f.dst))),
-                        ("bytes", Field::U64(f.bytes)),
-                        ("secs", Field::F64(secs)),
-                        ("ideal_secs", Field::F64(done.ideal_secs)),
-                        ("stall_secs", Field::F64(done.stall_secs())),
-                    ],
-                );
-                ctx.send_self(f.latency, M::wrap(NetMsg::Deliver(f.id)));
-                self.in_delivery.push((f.id, done));
-            } else {
-                i += 1;
+        self.flows.retain(|f| {
+            if f.remaining > DRAIN_EPS {
+                return true;
             }
-        }
+            let latency_secs = f.latency.as_secs_f64();
+            let secs = now.saturating_since(f.started).as_secs_f64() + latency_secs;
+            let done = FlowDone {
+                tag: f.tag,
+                src: f.src,
+                dst: f.dst,
+                bytes: f.bytes,
+                secs,
+                ideal_secs: f.ideal_secs,
+                aborted: false,
+            };
+            self.stall_secs += done.stall_secs();
+            ctx.emit_fields(
+                NET_COMPONENT,
+                "flow_end",
+                &[
+                    ("owner", Field::Str(f.tag.owner.name())),
+                    ("id", Field::U64(f.tag.id)),
+                    ("src", Field::U64(u64::from(f.src))),
+                    ("dst", Field::U64(u64::from(f.dst))),
+                    ("bytes", Field::U64(f.bytes)),
+                    ("secs", Field::F64(secs)),
+                    ("ideal_secs", Field::F64(done.ideal_secs)),
+                    ("stall_secs", Field::F64(done.stall_secs())),
+                ],
+            );
+            ctx.send_self(f.latency, M::wrap(NetMsg::Deliver(f.id)));
+            self.in_delivery.push((f.id, done));
+            false
+        });
         self.reallocate(ctx);
     }
 
@@ -325,12 +335,11 @@ impl<'a, M: MessageEnvelope<NetMsg>> NetActor<'a, M> {
         if self.flows.is_empty() {
             return;
         }
-        let caps = self.topo.effective_capacities();
-        let paths: Vec<Vec<LinkId>> = self.flows.iter().map(|f| f.links.clone()).collect();
-        let rates = max_min_rates(&paths, &caps);
+        self.solver
+            .solve(&self.flows, self.topo.capacities(), &mut self.rates);
         let now = ctx.now();
         let mut earliest = f64::INFINITY;
-        for (f, &rate) in self.flows.iter_mut().zip(&rates) {
+        for (f, &rate) in self.flows.iter_mut().zip(&self.rates) {
             f.rate = rate;
             if rate > 0.0 {
                 f.stalled_since = None;
@@ -377,16 +386,11 @@ impl<'a, M: MessageEnvelope<NetMsg>> NetActor<'a, M> {
     fn abort_due(&mut self, ctx: &mut Context<'_, M>) {
         let Some(timeout) = self.flow_timeout else { return };
         let now = ctx.now();
-        let mut i = 0;
-        while i < self.flows.len() {
-            let due = self.flows[i]
-                .stalled_since
-                .is_some_and(|since| since + timeout <= now);
+        self.flows.retain(|f| {
+            let due = f.stalled_since.is_some_and(|since| since + timeout <= now);
             if !due {
-                i += 1;
-                continue;
+                return true;
             }
-            let f = self.flows.remove(i);
             let secs = now.saturating_since(f.started).as_secs_f64();
             let waited = now
                 .saturating_since(f.stalled_since.unwrap_or(f.started))
@@ -417,7 +421,8 @@ impl<'a, M: MessageEnvelope<NetMsg>> NetActor<'a, M> {
             if let Some(hook) = self.on_complete.as_mut() {
                 hook(ctx, &done);
             }
-        }
+            false
+        });
         self.settle(ctx);
     }
 
@@ -442,7 +447,11 @@ impl<'a, M: MessageEnvelope<NetMsg>> NetActor<'a, M> {
         let ideal_xfer = if links.is_empty() {
             0.0
         } else {
-            req.bytes as f64 / self.topo.base_bottleneck(req.src, req.dst)
+            let bottleneck = links
+                .iter()
+                .map(|&l| self.topo.base_capacity(l))
+                .fold(f64::INFINITY, f64::min);
+            req.bytes as f64 / bottleneck
         };
         let ideal_secs = ideal_xfer + latency.as_secs_f64();
         self.flows.push(ActiveFlow {
@@ -776,5 +785,76 @@ mod tests {
         assert_eq!(actor.in_flight(), 0);
         // Each flow took ~2 s against a ~1 s ideal.
         assert!(actor.stall_secs() > 1.5, "stall = {}", actor.stall_secs());
+    }
+
+    /// Forty overlapping same- and cross-rack flows with a cut and a
+    /// degradation, each cleared mid-run: the delivery order and the exact
+    /// delivery times (as `f64` bits) are pinned, so any change to the
+    /// allocation arithmetic or its order shows up here.
+    #[test]
+    fn contended_script_matches_pinned_completions() {
+        const PINNED: [(u64, u64); 40] = [
+            (0, 0x3fe0d9f792c91ae7),
+            (17, 0x3ff5727d8cc8a5cc),
+            (38, 0x3ff64c4b1d821362),
+            (35, 0x3ff669a7f9502fe6),
+            (23, 0x3ffd17e41c275b97),
+            (32, 0x4000c821043a29fb),
+            (20, 0x4001434905be9710),
+            (29, 0x4001494ada5d9dda),
+            (26, 0x400159f58cd6dfee),
+            (14, 0x400294b1786eb7d5),
+            (11, 0x400323b222a774cf),
+            (8, 0x40049bc0b7a6dc09),
+            (2, 0x4005487eb68bba2a),
+            (5, 0x4005502f2c1b1995),
+            (31, 0x40080221ff0355cb),
+            (16, 0x40083747dc73c505),
+            (7, 0x400886ee38b5dca4),
+            (25, 0x4008ec7d5f59e04f),
+            (34, 0x4009d741b161729d),
+            (6, 0x400abc4d7ab222d2),
+            (30, 0x400b452d1f6a4aef),
+            (28, 0x400c1114c9f7c17e),
+            (10, 0x400c746bf6620b52),
+            (22, 0x400c87e5c57d5e61),
+            (37, 0x400ce52aaa5632f0),
+            (15, 0x400d09adce378e95),
+            (19, 0x400d6fc00aa52821),
+            (33, 0x400de3aa25fb33b5),
+            (13, 0x400e48edda49c933),
+            (1, 0x400f216b49e130c3),
+            (39, 0x400f9c28a57f6fbc),
+            (4, 0x401017fb8fa5466d),
+            (18, 0x4010b17905b6897b),
+            (3, 0x4010bd6e27fbc78c),
+            (36, 0x4010d9b947e8549b),
+            (27, 0x4010dd4e9d60bd49),
+            (24, 0x40111d02b0b46852),
+            (12, 0x40113d2f1ac21a8f),
+            (21, 0x40114edaa8d87bd8),
+            (9, 0x40115ca7f9aead27),
+        ];
+        let mut events: Vec<(SimTime, NetMsg)> = (0..40u32)
+            .map(|i| {
+                let src = i % 8;
+                let mut dst = (i * 3 + 1 + i / 8) % 8;
+                if dst == src {
+                    dst = (src + 1) % 8;
+                }
+                let bytes = (8 + u64::from(i * 37) % 56) * (MB as u64);
+                let at = SimTime::from_nanos(u64::from(i) * 3_000_000);
+                (at, NetMsg::Transfer(req(src, dst, bytes, u64::from(i))))
+            })
+            .collect();
+        let cut = NetFault::Cut { node: 2 };
+        let degrade = NetFault::Degrade { node: 5, factor: 0.5 };
+        events.push((SimTime::from_nanos(200_000_000), NetMsg::Fault(cut)));
+        events.push((SimTime::from_nanos(300_000_000), NetMsg::Fault(degrade)));
+        events.push((SimTime::from_nanos(700_000_000), NetMsg::FaultClear(cut)));
+        events.push((SimTime::from_nanos(1_200_000_000), NetMsg::FaultClear(degrade)));
+        let (done, _) = run(events);
+        let got: Vec<(u64, u64)> = done.iter().map(|&(id, t)| (id, t.to_bits())).collect();
+        assert_eq!(got, PINNED);
     }
 }

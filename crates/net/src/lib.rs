@@ -11,8 +11,10 @@
 //! - [`topology::NetTopology`] — a two-tier rack/spine fabric with per-link
 //!   capacity and latency; partitions cut a node's access link, gray
 //!   failures degrade it (both reference-counted).
-//! - [`flow::max_min_rates`] — max-min fair-share bandwidth allocation by
-//!   progressive filling, recomputed on every flow start/finish and fault.
+//! - [`flow::MaxMin`] — max-min fair-share bandwidth allocation by
+//!   progressive filling, recomputed on every flow start/finish and fault
+//!   over only the links the active flows cross ([`flow::max_min_rates`] is
+//!   the one-shot form).
 //! - [`actor::NetActor`] — the model as an [`Actor`] on the shared
 //!   [`Simulation`]: tenants send [`actor::NetMsg::Transfer`] requests
 //!   tagged with their identity, and a scenario-installed completion hook
@@ -54,7 +56,7 @@ pub use actor::{
     CompletionHook, FlowDone, FlowOwner, FlowTag, NetActor, NetFault, NetMsg, TransferReq,
     NET_COMPONENT,
 };
-pub use flow::max_min_rates;
+pub use flow::{max_min_rates, MaxMin};
 pub use topology::{LinkId, NetTopology};
 
 /// Convenient glob-import surface: `use mcs_net::prelude::*;`.

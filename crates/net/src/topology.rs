@@ -38,6 +38,9 @@ pub struct NetTopology {
     /// product). Stored individually so overlapping windows unwind exactly,
     /// without float drift from multiply-then-divide.
     degrades: Vec<Vec<f64>>,
+    /// Effective capacity per link, bytes/sec: recomputed for one link
+    /// whenever its cuts or degradations change.
+    capacity: Vec<f64>,
     same_rack_latency: SimDuration,
     cross_rack_latency: SimDuration,
 }
@@ -71,9 +74,10 @@ impl NetTopology {
             nodes,
             nodes_per_rack,
             racks,
-            base_capacity,
             cuts: vec![0; links],
             degrades: vec![Vec::new(); links],
+            capacity: base_capacity.clone(),
+            base_capacity,
             same_rack_latency,
             cross_rack_latency,
         }
@@ -141,16 +145,26 @@ impl NetTopology {
     /// Current capacity of a link, bytes/sec: zero while cut, otherwise the
     /// nominal capacity scaled by every active degradation.
     pub fn effective_capacity(&self, link: LinkId) -> f64 {
-        let i = link as usize;
-        if self.cuts[i] > 0 {
-            return 0.0;
-        }
-        self.degrades[i].iter().product::<f64>() * self.base_capacity[i]
+        self.capacity[link as usize]
+    }
+
+    /// Every link's current capacity, in link-id order.
+    pub fn capacities(&self) -> &[f64] {
+        &self.capacity
     }
 
     /// Snapshot of every link's current capacity, in link-id order.
     pub fn effective_capacities(&self) -> Vec<f64> {
-        (0..self.links()).map(|l| self.effective_capacity(l as LinkId)).collect()
+        self.capacity.clone()
+    }
+
+    /// Recomputes link `l`'s cached capacity from its cuts and degradations.
+    fn refresh(&mut self, l: usize) {
+        self.capacity[l] = if self.cuts[l] > 0 {
+            0.0
+        } else {
+            self.degrades[l].iter().product::<f64>() * self.base_capacity[l]
+        };
     }
 
     /// The smallest nominal capacity along `src → dst` — the uncontended,
@@ -167,6 +181,7 @@ impl NetTopology {
     pub fn cut_node(&mut self, node: u32) {
         let l = self.access(node) as usize;
         self.cuts[l] += 1;
+        self.refresh(l);
     }
 
     /// Lifts one partition of `node`. Reference-counted: the link heals only
@@ -174,6 +189,7 @@ impl NetTopology {
     pub fn restore_node(&mut self, node: u32) {
         let l = self.access(node) as usize;
         self.cuts[l] = self.cuts[l].saturating_sub(1);
+        self.refresh(l);
     }
 
     /// Scales `node`'s access capacity by `factor` (a gray failure) until a
@@ -181,6 +197,7 @@ impl NetTopology {
     pub fn degrade_node(&mut self, node: u32, factor: f64) {
         let l = self.access(node) as usize;
         self.degrades[l].push(factor.clamp(0.0, 1.0));
+        self.refresh(l);
     }
 
     /// Removes one active degradation of `node` with this `factor`.
@@ -189,6 +206,7 @@ impl NetTopology {
         let clamped = factor.clamp(0.0, 1.0);
         if let Some(pos) = self.degrades[l].iter().position(|&f| f == clamped) {
             self.degrades[l].remove(pos);
+            self.refresh(l);
         }
     }
 

@@ -51,4 +51,20 @@ if [ "$allow_count" -gt "$allow_budget" ]; then
     exit 1
 fi
 
-echo "verify: OK (offline build + tests + clippy + par-aware determinism diffs + invariant gate + bench smoke + allow-lint budget)"
+# Scenario-benchmark outcome smoke: a one-second run of each benchmarked
+# workload must reproduce its pinned simulated outcome. The benchmark is its
+# own cargo workspace, built in its own target directory; it reports a pin
+# mismatch as `"correct":false` on its last line of standard output.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --quiet \
+    --manifest-path scenario_bench/Cargo.toml
+for workload in workflow_fabric composed_retained; do
+    ./.bench_build/release/mcs-scenario-bench --workload "$workload" --seed 7919 \
+        --seconds 1 --trace 0 > "$tmpdir/bench_$workload.json" 2> "$tmpdir/bench_$workload.err"
+    if ! tail -n 1 "$tmpdir/bench_$workload.json" | grep -q '^{"correct":true,'; then
+        echo "verify: FAIL — scenario_bench $workload missed its pinned outcome" >&2
+        cat "$tmpdir/bench_$workload.err" >&2
+        exit 1
+    fi
+done
+
+echo "verify: OK (offline build + tests + clippy + par-aware determinism diffs + invariant gate + bench smoke + scenario pins + allow-lint budget)"

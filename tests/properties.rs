@@ -691,6 +691,183 @@ fn max_min_allocation_never_oversubscribes_links() {
     });
 }
 
+/// The water-filling allocator as it was before [`MaxMin`] kept scratch
+/// state: full-size buffers per call, every link scanned every round. Kept
+/// as the reference the reusable solver must match bit for bit.
+///
+/// [`MaxMin`]: mcs::net::flow::MaxMin
+fn reference_max_min_rates(flows: &[Vec<u32>], capacity: &[f64]) -> Vec<f64> {
+    let mut rates = vec![0.0f64; flows.len()];
+    if flows.is_empty() {
+        return rates;
+    }
+    let mut remaining: Vec<f64> = capacity.to_vec();
+    let mut load = vec![0u32; capacity.len()];
+    for path in flows {
+        for &l in path {
+            load[l as usize] += 1;
+        }
+    }
+    let mut frozen = vec![false; flows.len()];
+    let mut unfrozen = flows.len();
+    while unfrozen > 0 {
+        let mut bottleneck = usize::MAX;
+        let mut share = f64::INFINITY;
+        for (l, &n) in load.iter().enumerate() {
+            if n == 0 {
+                continue;
+            }
+            let s = (remaining[l].max(0.0)) / f64::from(n);
+            if s < share {
+                share = s;
+                bottleneck = l;
+            }
+        }
+        if bottleneck == usize::MAX {
+            break;
+        }
+        for (i, path) in flows.iter().enumerate() {
+            if frozen[i] || !path.contains(&(bottleneck as u32)) {
+                continue;
+            }
+            rates[i] = share;
+            frozen[i] = true;
+            unfrozen -= 1;
+            for &l in path {
+                let li = l as usize;
+                remaining[li] = (remaining[li] - share).max(0.0);
+                load[li] -= 1;
+            }
+        }
+        if remaining[bottleneck] < 1e-9 {
+            remaining[bottleneck] = 0.0;
+        }
+    }
+    rates
+}
+
+/// One `MaxMin` reused across every case — fabrics that grow and shrink,
+/// cut (zero-capacity) and infinite links, exact ties and flows sharing
+/// links — returns
+/// the reference allocator's rates bit for bit, so no scratch state leaks
+/// from one call into the next.
+#[test]
+fn reused_max_min_solver_matches_reference_bit_for_bit() {
+    use mcs::net::flow::{max_min_rates, MaxMin};
+    use std::cell::RefCell;
+
+    let solver = RefCell::new(MaxMin::default());
+    let rates = RefCell::new(Vec::new());
+    Check::new("reused_max_min_solver_matches_reference_bit_for_bit").cases(256).run(|rng| {
+        let links = 1 + rng.uniform_usize(48);
+        // Half the cases draw capacities from a small set, so equal fair
+        // shares (ties between links) are common.
+        let discrete = rng.bernoulli(0.5);
+        // Infinite links never bottleneck: flows crossing only those are
+        // never frozen, so their loads outlive the call unless reset.
+        let capacity: Vec<f64> = (0..links)
+            .map(|_| {
+                let pick = rng.uniform_usize(12);
+                if pick < 2 {
+                    0.0
+                } else if pick == 2 {
+                    f64::INFINITY
+                } else if discrete {
+                    [10.0, 25.0, 40.0, 100.0][rng.uniform_usize(4)]
+                } else {
+                    rng.uniform_f64(0.5, 1_000.0)
+                }
+            })
+            .collect();
+        // Paths of one to four distinct links drawn from a hot subset, so
+        // flows share links.
+        let hot = 1 + rng.uniform_usize(links);
+        let n_flows = 1 + rng.uniform_usize(40);
+        let flows: Vec<Vec<u32>> = (0..n_flows)
+            .map(|_| {
+                let mut path = Vec::new();
+                for _ in 0..1 + rng.uniform_usize(4) {
+                    let l = rng.uniform_usize(hot) as u32;
+                    if !path.contains(&l) {
+                        path.push(l);
+                    }
+                }
+                path
+            })
+            .collect();
+        let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let want = bits(&reference_max_min_rates(&flows, &capacity));
+        let mut rates = rates.borrow_mut();
+        solver.borrow_mut().solve(&flows, &capacity, &mut rates);
+        prop_assert_eq!(bits(&rates), want.clone());
+        prop_assert_eq!(bits(&max_min_rates(&flows, &capacity)), want);
+        Ok(())
+    });
+}
+
+/// The topology's cached per-link capacities track random sequences of
+/// cuts, restores (over-restores included), degradations and their clears
+/// (overlapping equal factors included): after every step each link's
+/// cached capacity equals the from-scratch expression bit for bit.
+#[test]
+fn topology_capacity_cache_matches_from_scratch() {
+    use mcs::net::topology::NetTopology;
+
+    Check::new("topology_capacity_cache_matches_from_scratch").cases(64).run(|rng| {
+        let nodes = 1 + rng.uniform_usize(8) as u32;
+        let mut topo = NetTopology::new(
+            nodes,
+            1 + rng.uniform_usize(4) as u32,
+            rng.uniform_f64(1.0, 1e9),
+            rng.uniform_f64(1.0, 4e9),
+            SimDuration::ZERO,
+            SimDuration::ZERO,
+        );
+        // The model: cut counts and active (clamped) factors per link.
+        let mut cuts = vec![0u32; topo.links()];
+        let mut degrades: Vec<Vec<f64>> = vec![Vec::new(); topo.links()];
+        // Out-of-range factors exercise the clamp.
+        let factors = [0.5, 0.25, 0.1, 0.75, 1.5, -0.5];
+        for _ in 0..48 {
+            let node = rng.uniform_usize(nodes as usize) as u32;
+            // Node `n`'s access link is link `n`.
+            let l = node as usize;
+            let factor = factors[rng.uniform_usize(factors.len())];
+            match rng.uniform_usize(4) {
+                0 => {
+                    topo.cut_node(node);
+                    cuts[l] += 1;
+                }
+                1 => {
+                    topo.restore_node(node);
+                    cuts[l] = cuts[l].saturating_sub(1);
+                }
+                2 => {
+                    topo.degrade_node(node, factor);
+                    degrades[l].push(factor.clamp(0.0, 1.0));
+                }
+                _ => {
+                    topo.undegrade_node(node, factor);
+                    let clamped = factor.clamp(0.0, 1.0);
+                    if let Some(pos) = degrades[l].iter().position(|&f| f == clamped) {
+                        degrades[l].remove(pos);
+                    }
+                }
+            }
+            for link in 0..topo.links() {
+                let expected = if cuts[link] > 0 {
+                    0.0
+                } else {
+                    degrades[link].iter().product::<f64>() * topo.base_capacity(link as u32)
+                };
+                prop_assert_eq!(topo.capacities()[link].to_bits(), expected.to_bits());
+                prop_assert_eq!(topo.effective_capacity(link as u32).to_bits(), expected.to_bits());
+            }
+        }
+        Ok(())
+    });
+}
+
 /// A network-attached composed scenario — where every tenant's transfers
 /// ride the shared fabric — is deterministic and worker-count independent:
 /// sweeping seeds at any `MCS_PAR_WORKERS` width returns identical traces
