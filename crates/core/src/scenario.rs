@@ -513,6 +513,13 @@ impl ScenarioConfig {
         if self.horizon == SimTime::ZERO {
             return Err(McsError::invalid_config("horizon", "must be positive"));
         }
+        if let Some(batch) = &self.batch {
+            // A zero cadence re-arms the policy tick at the same instant
+            // forever, so virtual time would never advance.
+            if batch.policy_interval.is_zero() {
+                return Err(McsError::invalid_config("batch.policy_interval", "must be positive"));
+            }
+        }
         if let Some(faas) = &self.faas {
             finite_non_negative("faas.arrival_rate", faas.arrival_rate)?;
         }
@@ -539,6 +546,13 @@ impl ScenarioConfig {
         if let Some(bigdata) = &self.bigdata {
             if bigdata.block_mb == 0 {
                 return Err(McsError::invalid_config("bigdata.block_mb", "must be positive"));
+            }
+            // The block store places every replica on a distinct machine.
+            if bigdata.replication > self.machines {
+                return Err(McsError::invalid_config(
+                    "bigdata.replication",
+                    "cannot exceed the number of machines",
+                ));
             }
             finite_positive("bigdata.shuffle_bandwidth_mbs", bigdata.shuffle_bandwidth_mbs)?;
             finite_non_negative("bigdata.submit_interval_secs", bigdata.submit_interval_secs)?;
@@ -2143,6 +2157,19 @@ mod tests {
                 }),
             ),
             (
+                "batch.policy_interval",
+                ScenarioConfig::default().with_batch(BatchConfig {
+                    policy_interval: SimDuration::ZERO,
+                    ..BatchConfig::default()
+                }),
+            ),
+            // The default replication of 3 on a two-machine fleet.
+            (
+                "bigdata.replication",
+                ScenarioConfig { machines: 2, ..ScenarioConfig::default() }
+                    .with_bigdata(BigdataConfig::default()),
+            ),
+            (
                 "gaming.zone_capacity",
                 ScenarioConfig::default()
                     .with_gaming(GamingConfig { zone_capacity: 0, ..GamingConfig::default() }),
@@ -2194,5 +2221,9 @@ mod tests {
             }
         }
         assert!(ScenarioConfig::default().validate().is_ok());
+        // One replica per machine is the most a fleet can hold.
+        let replicas_fill_the_fleet = ScenarioConfig { machines: 3, ..ScenarioConfig::default() }
+            .with_bigdata(BigdataConfig::default());
+        assert!(replicas_fill_the_fleet.validate().is_ok());
     }
 }

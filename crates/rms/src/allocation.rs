@@ -7,9 +7,10 @@
 //! motivates.
 
 use mcs_infra::cluster::Cluster;
-use mcs_infra::machine::MachineId;
+use mcs_infra::machine::{Machine, MachineId};
 use mcs_infra::resource::ResourceVector;
 use mcs_simcore::rng::RngStream;
+use std::cmp::Ordering;
 
 /// The machine-selection policies available to the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,62 +54,69 @@ impl AllocationPolicy {
     }
 
     /// Selects a machine for `req` in `cluster`, or `None` when nothing fits.
+    ///
+    /// One pass over the feasible machines, with no allocation: the
+    /// minimizing policies keep the first of equal keys and the maximizing
+    /// ones the last (the tie rules of `Iterator::min_by`/`max_by`), and
+    /// `Random` counts the feasible machines before its single draw.
     pub fn select(
         &self,
         cluster: &Cluster,
         req: &ResourceVector,
         rng: &mut RngStream,
     ) -> Option<MachineId> {
-        let feasible: Vec<&mcs_infra::machine::Machine> =
-            cluster.feasible_machines(req).collect();
-        if feasible.is_empty() {
-            return None;
-        }
+        let mut feasible = cluster.feasible_machines(req);
         let chosen = match self {
-            AllocationPolicy::FirstFit => feasible[0],
-            AllocationPolicy::BestFit => feasible
-                .iter()
-                .min_by(|a, b| {
-                    let ra = remaining_after(a, req);
-                    let rb = remaining_after(b, req);
-                    ra.partial_cmp(&rb).unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .unwrap(),
-            AllocationPolicy::WorstFit => feasible
-                .iter()
-                .max_by(|a, b| {
-                    let ra = remaining_after(a, req);
-                    let rb = remaining_after(b, req);
-                    ra.partial_cmp(&rb).unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .unwrap(),
-            AllocationPolicy::Random => feasible[rng.uniform_usize(feasible.len())],
-            AllocationPolicy::LeastLoaded => feasible
-                .iter()
-                .min_by(|a, b| {
-                    a.utilization()
-                        .partial_cmp(&b.utilization())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .unwrap(),
-            AllocationPolicy::FastestFirst => feasible
-                .iter()
-                .max_by(|a, b| {
-                    a.speedup_for(req)
-                        .partial_cmp(&b.speedup_for(req))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .unwrap(),
+            AllocationPolicy::FirstFit => feasible.next(),
+            AllocationPolicy::BestFit => min_by_key(feasible, |m| remaining_after(m, req)),
+            AllocationPolicy::WorstFit => max_by_key(feasible, |m| remaining_after(m, req)),
+            AllocationPolicy::Random => {
+                let n = feasible.count();
+                if n == 0 {
+                    return None;
+                }
+                cluster.feasible_machines(req).nth(rng.uniform_usize(n))
+            }
+            AllocationPolicy::LeastLoaded => min_by_key(feasible, Machine::utilization),
+            AllocationPolicy::FastestFirst => max_by_key(feasible, |m| m.speedup_for(req)),
         };
-        Some(chosen.id())
+        chosen.map(Machine::id)
     }
+}
+
+/// The first machine with the smallest `key`; incomparable keys count as
+/// equal, as in `min_by` over `partial_cmp().unwrap_or(Equal)`.
+pub(crate) fn min_by_key<'a>(
+    machines: impl Iterator<Item = &'a Machine>,
+    key: impl Fn(&Machine) -> f64,
+) -> Option<&'a Machine> {
+    machines
+        .map(|m| (m, key(m)))
+        .reduce(|best, next| {
+            if best.1.partial_cmp(&next.1) == Some(Ordering::Greater) { next } else { best }
+        })
+        .map(|(m, _)| m)
+}
+
+/// The last machine with the largest `key`; incomparable keys count as
+/// equal, as in `max_by` over `partial_cmp().unwrap_or(Equal)`.
+fn max_by_key<'a>(
+    machines: impl Iterator<Item = &'a Machine>,
+    key: impl Fn(&Machine) -> f64,
+) -> Option<&'a Machine> {
+    machines
+        .map(|m| (m, key(m)))
+        .reduce(|best, next| {
+            if best.1.partial_cmp(&next.1) == Some(Ordering::Greater) { best } else { next }
+        })
+        .map(|(m, _)| m)
 }
 
 /// Scalar "how much room is left after placing req": the sum of normalized
 /// residuals over the dimensions the request actually uses, lower = tighter
 /// fit. Ignoring unrequested dimensions keeps a GPU box from looking "empty"
 /// to a CPU-only task.
-pub(crate) fn remaining_after(m: &mcs_infra::machine::Machine, req: &ResourceVector) -> f64 {
+pub(crate) fn remaining_after(m: &Machine, req: &ResourceVector) -> f64 {
     let avail = m.available();
     let cap = m.capacity();
     let resid = avail - *req;

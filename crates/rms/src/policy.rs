@@ -13,10 +13,10 @@
 //! (`mcs-dag`) and portfolio selection work purely in terms of trait
 //! objects.
 
-use crate::allocation::AllocationPolicy;
+use crate::allocation::{min_by_key, remaining_after, AllocationPolicy};
 use crate::scheduler::{QueuePolicy, SchedulerConfig};
 use mcs_infra::cluster::Cluster;
-use mcs_infra::machine::MachineId;
+use mcs_infra::machine::{Machine, MachineId};
 use mcs_infra::resource::ResourceVector;
 use mcs_simcore::rng::RngStream;
 use mcs_simcore::time::{SimDuration, SimTime};
@@ -190,8 +190,11 @@ pub struct LocalityFirstPolicy {
 }
 
 impl LocalityFirstPolicy {
-    fn rack_of(&self, node: u32) -> u32 {
-        node / self.nodes_per_rack.max(1)
+    /// The machines sharing `node`'s rack: machine ids are fleet indices,
+    /// so the rack is one contiguous run of the fleet (cut short at its end).
+    fn rack<'c>(&self, cluster: &'c Cluster, node: u32) -> impl Iterator<Item = &'c Machine> {
+        let width = self.nodes_per_rack.max(1) as usize;
+        cluster.machines().iter().skip(node as usize / width * width).take(width)
     }
 }
 
@@ -212,24 +215,15 @@ impl SchedulingPolicy for LocalityFirstPolicy {
     ) -> Option<MachineId> {
         if let Some(home) = task.data_home {
             let mid = MachineId(home);
+            // Machine ids are fleet indices, so the home is checked directly.
             if (home as usize) < cluster.len()
-                && cluster
-                    .feasible_machines(task.req)
-                    .any(|m| m.id() == mid)
+                && task.req.fits_in(&cluster.machine(mid).available())
             {
                 return Some(mid);
             }
             // Same rack, tightest fit wins.
-            let rack = self.rack_of(home);
-            if let Some(m) = cluster
-                .feasible_machines(task.req)
-                .filter(|m| self.rack_of(m.id().0) == rack)
-                .min_by(|a, b| {
-                    crate::allocation::remaining_after(a, task.req)
-                        .partial_cmp(&crate::allocation::remaining_after(b, task.req))
-                        .unwrap_or(Ordering::Equal)
-                })
-            {
+            let feasible = self.rack(cluster, home).filter(|m| task.req.fits_in(&m.available()));
+            if let Some(m) = min_by_key(feasible, |m| remaining_after(m, task.req)) {
                 return Some(m.id());
             }
         }

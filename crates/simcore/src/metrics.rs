@@ -240,13 +240,43 @@ impl QuantileSketch {
         self.buffer.clear();
     }
 
-    /// Folds the buffer into the centroid set.
+    /// Folds the buffer into the centroid set, in place: the buffer is
+    /// sorted where it lies, the centroids move to the back of their vector,
+    /// and the merged points (centroid first on equal means, as in
+    /// [`merge_sorted`]) are compacted into its front. The result is bit for
+    /// bit what [`compact`] makes of [`sorted_points`], and once both vectors
+    /// have grown to their working size nothing is allocated.
     fn compress(&mut self) {
         if self.buffer.is_empty() {
             return;
         }
-        let points = sorted_points(&self.centroids, &self.buffer);
-        self.centroids = compact(points, self.count, self.max_centroids);
+        // The buffer holds only finite values, and finite values equal under
+        // `total_cmp` are bit-equal, so the unstable sort gives the stable
+        // sort's order.
+        self.buffer.sort_unstable_by(f64::total_cmp);
+        let cap = weight_cap(self.count, self.max_centroids);
+        let (buffer, points) = (&self.buffer, &mut self.centroids);
+        let (c, b) = (points.len(), buffer.len());
+        points.resize(c + b, (0.0, 0));
+        points.copy_within(0..c, b);
+        // The merge runs forward, as `merge_sorted` does: rounded weighted
+        // means can leave a centroid an ulp above its successor, and a merge
+        // from the back would then interleave differently. The k-th merged
+        // point (from 0) is written at index k at the furthest, while the
+        // first unread centroid then sits at `b + k + 1 - j > k`: no write
+        // reaches a centroid not yet read.
+        let (mut i, mut j, mut len) = (b, 0, 0);
+        while i < c + b || j < b {
+            let point = if j == b || (i < c + b && points[i].0 <= buffer[j]) {
+                i += 1;
+                points[i - 1]
+            } else {
+                j += 1;
+                (buffer[j - 1], 1)
+            };
+            len = absorb(points, len, point, cap);
+        }
+        points.truncate(len);
         self.buffer.clear();
     }
 
@@ -319,23 +349,40 @@ fn merge_sorted(a: &[(f64, u64)], b: &[(f64, u64)]) -> Vec<(f64, u64)> {
 }
 
 /// Greedy left-to-right compaction under a per-centroid weight cap of
-/// `ceil(2·count / max_centroids)`. Any two adjacent output centroids exceed
-/// the cap together, so at most `max_centroids + 1` centroids survive.
-fn compact(points: Vec<(f64, u64)>, count: u64, max_centroids: usize) -> Vec<(f64, u64)> {
-    let cap = (2 * count).div_ceil(max_centroids as u64).max(1);
-    let mut out: Vec<(f64, u64)> = Vec::with_capacity(max_centroids + 1);
-    for (mean, w) in points {
-        if let Some(last) = out.last_mut() {
-            if last.1 + w <= cap {
-                let total = last.1 + w;
-                last.0 = (last.0 * last.1 as f64 + mean * w as f64) / total as f64;
-                last.1 = total;
-                continue;
-            }
-        }
-        out.push((mean, w));
+/// `ceil(2·count / max_centroids)` (see [`absorb`]). Any two adjacent output
+/// centroids exceed the cap together, so at most `max_centroids + 1`
+/// centroids survive.
+fn compact(mut points: Vec<(f64, u64)>, count: u64, max_centroids: usize) -> Vec<(f64, u64)> {
+    let cap = weight_cap(count, max_centroids);
+    let mut len = 0;
+    for k in 0..points.len() {
+        let point = points[k];
+        len = absorb(&mut points, len, point, cap);
     }
-    out
+    points.truncate(len);
+    points
+}
+
+/// The largest weight one centroid may carry.
+fn weight_cap(count: u64, max_centroids: usize) -> u64 {
+    (2 * count).div_ceil(max_centroids as u64).max(1)
+}
+
+/// One compaction step: appends the next mean-ordered point to the compacted
+/// prefix `points[..len]`, merging it into the last centroid while their
+/// joint weight stays within `cap`. Returns the prefix's new length; the
+/// point is written at index `len` at the furthest.
+fn absorb(points: &mut [(f64, u64)], len: usize, (mean, w): (f64, u64), cap: u64) -> usize {
+    if let Some(last) = len.checked_sub(1).map(|k| &mut points[k]) {
+        if last.1 + w <= cap {
+            let total = last.1 + w;
+            last.0 = (last.0 * last.1 as f64 + mean * w as f64) / total as f64;
+            last.1 = total;
+            return len;
+        }
+    }
+    points[len] = (mean, w);
+    len + 1
 }
 
 /// A complete distribution summary of a sample set, as reported in the
@@ -862,5 +909,125 @@ mod tests {
         // Level 0 for 10 s, then 4 for 10 s: average 2.
         assert!((tw.average_until(SimTime::from_secs(20)) - 2.0).abs() < 1e-12);
         assert_eq!(tw.peak(), 4.0);
+    }
+
+    /// The sketch's compaction as it was before it ran in place: a fresh
+    /// stably sorted copy of the buffer, merged into a fresh point list, then
+    /// compacted into a third vector. Kept as the reference the in-place
+    /// `compress` and `compact` must match bit for bit.
+    fn reference_compact(
+        centroids: &[(f64, u64)],
+        buffer: &[f64],
+        count: u64,
+        max_centroids: usize,
+    ) -> Vec<(f64, u64)> {
+        let mut singles: Vec<(f64, u64)> = buffer.iter().map(|&x| (x, 1)).collect();
+        singles.sort_by(|a, b| a.0.total_cmp(&b.0));
+        reference_compact_points(&merge_sorted(centroids, &singles), count, max_centroids)
+    }
+
+    fn reference_compact_points(
+        points: &[(f64, u64)],
+        count: u64,
+        max_centroids: usize,
+    ) -> Vec<(f64, u64)> {
+        let cap = (2 * count).div_ceil(max_centroids as u64).max(1);
+        let mut out: Vec<(f64, u64)> = Vec::with_capacity(max_centroids + 1);
+        for &(mean, w) in points {
+            if let Some(last) = out.last_mut() {
+                if last.1 + w <= cap {
+                    let total = last.1 + w;
+                    last.0 = (last.0 * last.1 as f64 + mean * w as f64) / total as f64;
+                    last.1 = total;
+                    continue;
+                }
+            }
+            out.push((mean, w));
+        }
+        out
+    }
+
+    fn point_bits(points: &[(f64, u64)]) -> Vec<(u64, u64)> {
+        points.iter().map(|&(m, w)| (m.to_bits(), w)).collect()
+    }
+
+    /// Records `x` the way the sketch did before compaction ran in place.
+    fn reference_record(r: &mut QuantileSketch, x: f64) {
+        r.count += 1;
+        r.min = r.min.min(x);
+        r.max = r.max.max(x);
+        r.buffer.push(x);
+        if r.buffer.len() >= r.max_centroids {
+            r.centroids = reference_compact(&r.centroids, &r.buffer, r.count, r.max_centroids);
+            r.buffer.clear();
+        }
+    }
+
+    /// A stream of `n` values, most from a pool of duplicates, signed zeros
+    /// and values whose weighted means round (so centroid means can step
+    /// down between neighbours).
+    fn tricky_stream(rng: &mut crate::rng::RngStream, n: usize) -> Vec<f64> {
+        let pool = [0.1, 0.2, 0.3, -0.0, 0.0, 1.0 / 3.0, 1e-300, -7.5, 2.0e9];
+        (0..n)
+            .map(|_| {
+                if rng.bernoulli(0.6) {
+                    pool[rng.uniform_usize(pool.len())]
+                } else {
+                    rng.uniform_f64(-10.0, 10.0)
+                }
+            })
+            .collect()
+    }
+
+    /// In-place compression keeps every centroid bit for bit, on budgets of
+    /// 8 to 64 and streams full of duplicates and of `-0.0` beside `0.0`; a
+    /// merge afterwards and the quantiles read back agree bit for bit too.
+    #[test]
+    fn in_place_compress_matches_reference_bit_for_bit() {
+        crate::check::Check::new("in_place_compress_matches_reference_bit_for_bit").cases(96).run(
+            |rng| {
+                let budget = 8 + rng.uniform_usize(57);
+                let n = 1 + rng.uniform_usize(20 * budget);
+                let xs = tricky_stream(rng, n);
+                let m = 1 + rng.uniform_usize(20 * budget);
+                let ys = tricky_stream(rng, m);
+                let mut sketch = QuantileSketch::new(budget);
+                let mut reference = QuantileSketch::new(budget);
+                for &x in &xs {
+                    sketch.record(x);
+                    reference_record(&mut reference, x);
+                    crate::prop_assert_eq!(
+                        point_bits(&sketch.centroids),
+                        point_bits(&reference.centroids)
+                    );
+                    crate::prop_assert_eq!(
+                        sketch.buffer.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        reference.buffer.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                    );
+                }
+                for q in [0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0] {
+                    crate::prop_assert_eq!(
+                        sketch.quantile(q).map(f64::to_bits),
+                        reference.quantile(q).map(f64::to_bits)
+                    );
+                }
+                let mut other = QuantileSketch::new(budget);
+                for &y in &ys {
+                    reference_record(&mut other, y);
+                }
+                let merged = reference_compact_points(
+                    &merge_sorted(
+                        &sorted_points(&reference.centroids, &reference.buffer),
+                        &sorted_points(&other.centroids, &other.buffer),
+                    ),
+                    reference.count + other.count,
+                    budget,
+                );
+                sketch.merge(&other);
+                crate::prop_assert_eq!(point_bits(&sketch.centroids), point_bits(&merged));
+                crate::prop_assert!(sketch.buffer.is_empty());
+                Ok(())
+            },
+        );
     }
 }

@@ -203,6 +203,27 @@ impl Rollup {
         Rollup { count: 0, first_at: at, last_at: at, fields: Vec::new(), windows: Vec::new() }
     }
 
+    /// Folds one record's numeric fields, in payload order. An event kind's
+    /// records almost always carry the same fields in the same order, so the
+    /// k-th numeric field is first looked for in slot k, confirmed by name;
+    /// only a miss interns the name and searches the slots. The interner and
+    /// the slots end up exactly as if every name were interned and searched.
+    fn fold<'k>(
+        &mut self,
+        numeric: impl Iterator<Item = (&'k str, f64)>,
+        interner: &mut Interner,
+        sketch_centroids: usize,
+    ) {
+        for (k, (key, x)) in numeric.enumerate() {
+            let agg = match self.fields.get(k) {
+                Some(agg) if interner.resolve(agg.key) == key => &mut self.fields[k],
+                _ => self.field_mut(interner.intern(key), sketch_centroids),
+            };
+            agg.stats.record(x);
+            agg.sketch.record(x);
+        }
+    }
+
     fn field_mut(&mut self, key: Symbol, sketch_centroids: usize) -> &mut FieldAgg {
         if let Some(i) = self.fields.iter().position(|f| f.key == key) {
             return &mut self.fields[i];
@@ -269,13 +290,10 @@ impl StreamingSink {
         let centroids = self.config.sketch_centroids;
         let rollup = self.touch(at, component, event);
         if let Json::Obj(entries) = payload {
-            for (key, value) in entries {
-                let Some(x) = value.as_f64().filter(|x| x.is_finite()) else { continue };
-                let key = interner.intern(key.as_ref());
-                let agg = rollup.field_mut(key, centroids);
-                agg.stats.record(x);
-                agg.sketch.record(x);
-            }
+            let numeric = entries.iter().filter_map(|(key, value)| {
+                Some((key.as_ref(), value.as_f64().filter(|x| x.is_finite())?))
+            });
+            rollup.fold(numeric, interner, centroids);
         }
     }
 
@@ -291,13 +309,8 @@ impl StreamingSink {
     ) {
         let centroids = self.config.sketch_centroids;
         let rollup = self.touch(at, component, event);
-        for &(key, value) in fields {
-            let Some(x) = value.fold_f64() else { continue };
-            let key = interner.intern(key);
-            let agg = rollup.field_mut(key, centroids);
-            agg.stats.record(x);
-            agg.sketch.record(x);
-        }
+        let numeric = fields.iter().filter_map(|&(key, value)| Some((key, value.fold_f64()?)));
+        rollup.fold(numeric, interner, centroids);
     }
 
     /// Approximate heap bytes this sink retains — the "flat memory" number

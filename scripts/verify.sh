@@ -51,13 +51,15 @@ if [ "$allow_count" -gt "$allow_budget" ]; then
     exit 1
 fi
 
-# Scenario-benchmark outcome smoke: a one-second run of each benchmarked
-# workload must reproduce its pinned simulated outcome. The benchmark is its
-# own cargo workspace, built in its own target directory; it reports a pin
-# mismatch as `"correct":false` on its last line of standard output.
+# Scenario-benchmark outcome smoke: a one-second run of each benchmark
+# workload must reproduce its pinned simulated outcome. `fabric_stream` is the
+# only workload whose pins (FaaS latency p50/p99) are read back from the
+# streaming quantile sketch. The benchmark is its own cargo workspace, built in
+# its own target directory; it reports a pin mismatch as `"correct":false` on
+# its last line of standard output.
 CARGO_TARGET_DIR=.bench_build cargo build --release --offline --quiet \
     --manifest-path scenario_bench/Cargo.toml
-for workload in workflow_fabric composed_retained; do
+for workload in fabric_stream workflow_fabric composed_retained; do
     ./.bench_build/release/mcs-scenario-bench --workload "$workload" --seed 7919 \
         --seconds 1 --trace 0 > "$tmpdir/bench_$workload.json" 2> "$tmpdir/bench_$workload.err"
     if ! tail -n 1 "$tmpdir/bench_$workload.json" | grep -q '^{"correct":true,'; then

@@ -1106,3 +1106,248 @@ fn streaming_rollups_match_full_retention_across_seeds_and_workers() {
             Ok(())
         });
 }
+
+/// Machine selection as it was before the single-pass rewrite: every call
+/// collects the feasible machines into a fresh `Vec`, then picks with
+/// `min_by`/`max_by` (first minimum, last maximum). Kept as the reference
+/// the allocation policies must match machine for machine and draw for draw.
+fn reference_select(
+    policy: AllocationPolicy,
+    cluster: &Cluster,
+    req: &ResourceVector,
+    rng: &mut RngStream,
+) -> Option<MachineId> {
+    use std::cmp::Ordering;
+    let feasible: Vec<&Machine> = cluster.feasible_machines(req).collect();
+    if feasible.is_empty() {
+        return None;
+    }
+    let by = |a: f64, b: f64| a.partial_cmp(&b).unwrap_or(Ordering::Equal);
+    let chosen = match policy {
+        AllocationPolicy::FirstFit => feasible[0],
+        AllocationPolicy::BestFit => feasible
+            .iter()
+            .min_by(|a, b| by(reference_remaining_after(a, req), reference_remaining_after(b, req)))
+            .unwrap(),
+        AllocationPolicy::WorstFit => feasible
+            .iter()
+            .max_by(|a, b| by(reference_remaining_after(a, req), reference_remaining_after(b, req)))
+            .unwrap(),
+        AllocationPolicy::Random => feasible[rng.uniform_usize(feasible.len())],
+        AllocationPolicy::LeastLoaded => {
+            feasible.iter().min_by(|a, b| by(a.utilization(), b.utilization())).unwrap()
+        }
+        AllocationPolicy::FastestFirst => {
+            feasible.iter().max_by(|a, b| by(a.speedup_for(req), b.speedup_for(req))).unwrap()
+        }
+    };
+    Some(chosen.id())
+}
+
+/// The best-fit key of [`reference_select`]: normalized residuals over the
+/// dimensions the request uses.
+fn reference_remaining_after(m: &Machine, req: &ResourceVector) -> f64 {
+    let (avail, cap) = (m.available(), m.capacity());
+    let resid = avail - *req;
+    let norm = |want: f64, v: f64, c: f64| if want > 0.0 && c > 0.0 { v / c } else { 0.0 };
+    norm(req.cpu_cores, resid.cpu_cores, cap.cpu_cores)
+        + norm(req.memory_gb, resid.memory_gb, cap.memory_gb)
+        + norm(req.accelerators, resid.accelerators, cap.accelerators)
+}
+
+/// Locality-first placement as it was before the direct home check and the
+/// rack-range scan: both searched the whole fleet.
+fn reference_locality(
+    nodes_per_rack: u32,
+    cluster: &Cluster,
+    req: &ResourceVector,
+    data_home: Option<u32>,
+    rng: &mut RngStream,
+) -> Option<MachineId> {
+    let rack_of = |node: u32| node / nodes_per_rack.max(1);
+    if let Some(home) = data_home {
+        let mid = MachineId(home);
+        if (home as usize) < cluster.len() && cluster.feasible_machines(req).any(|m| m.id() == mid)
+        {
+            return Some(mid);
+        }
+        let rack = rack_of(home);
+        if let Some(m) = cluster
+            .feasible_machines(req)
+            .filter(|m| rack_of(m.id().0) == rack)
+            .min_by(|a, b| {
+                reference_remaining_after(a, req)
+                    .partial_cmp(&reference_remaining_after(b, req))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            })
+        {
+            return Some(m.id());
+        }
+    }
+    reference_select(AllocationPolicy::BestFit, cluster, req, rng)
+}
+
+/// Every allocation policy and locality-first placement pick the machine the
+/// collect-based reference picks, and leave the RNG stream at the same
+/// point, on heterogeneous fleets with down, draining and full machines,
+/// ties in speed-up and in remaining capacity, and data homes inside and
+/// outside the fleet.
+#[test]
+fn single_pass_machine_selection_matches_collect_reference() {
+    Check::new("single_pass_machine_selection_matches_collect_reference").cases(256).run(|rng| {
+        let mut cluster = Cluster::new(ClusterId(0), "prop");
+        let n = 1 + rng.uniform_usize(24);
+        for _ in 0..n {
+            // A few discrete shapes and speeds, so keys tie often.
+            let cores = [4.0, 8.0, 16.0][rng.uniform_usize(3)];
+            let memory = [16.0, 32.0, 64.0][rng.uniform_usize(3)];
+            let mut spec = if rng.bernoulli(0.25) {
+                MachineSpec::gpu("g", cores, memory, [1.0, 2.0][rng.uniform_usize(2)])
+            } else {
+                MachineSpec::commodity("c", cores, memory)
+            };
+            spec.core_speed = [1.0, 1.0, 1.5, 2.0][rng.uniform_usize(4)];
+            let id = cluster.add_machine(spec);
+            let machine = cluster.machine_mut(id);
+            match rng.uniform_usize(6) {
+                0 => {
+                    machine.fail();
+                }
+                1 => machine.drain(),
+                2 => {
+                    let full = machine.capacity();
+                    machine.try_allocate(&full);
+                }
+                3 | 4 => {
+                    let part = ResourceVector::new(
+                        [1.0, 2.0, 4.0][rng.uniform_usize(3)],
+                        [2.0, 4.0, 8.0][rng.uniform_usize(3)],
+                    );
+                    machine.try_allocate(&part);
+                }
+                _ => {}
+            }
+        }
+        for _ in 0..8 {
+            let mut req = ResourceVector::new(
+                [0.0, 1.0, 2.0, 4.0, 8.0][rng.uniform_usize(5)],
+                [0.0, 1.0, 4.0, 16.0][rng.uniform_usize(4)],
+            );
+            if rng.bernoulli(0.2) {
+                req = req.with_accelerators(1.0);
+            }
+            let stream = rng.uniform_usize(1 << 20) as u64;
+            for policy in AllocationPolicy::ALL {
+                let (mut got_rng, mut want_rng) =
+                    (RngStream::new(stream, "pick"), RngStream::new(stream, "pick"));
+                let got = policy.select(&cluster, &req, &mut got_rng);
+                let want = reference_select(policy, &cluster, &req, &mut want_rng);
+                prop_assert!(got == want, "{} on {n} machines: {got:?} vs {want:?}", policy.name());
+                prop_assert_eq!(got_rng.next_u64(), want_rng.next_u64());
+            }
+            let nodes_per_rack = [0, 1, 2, 3, 4, 8][rng.uniform_usize(6)];
+            let data_home = match rng.uniform_usize(4) {
+                0 => None,
+                1 => Some(n as u32 + rng.uniform_usize(8) as u32),
+                _ => Some(rng.uniform_usize(n) as u32),
+            };
+            let view = QueuedTaskView {
+                id: TaskId(0),
+                submit: SimTime::ZERO,
+                ready_at: SimTime::ZERO,
+                demand_left: 1.0,
+                req: &req,
+                deadline: None,
+                rank: 0.0,
+                data_home,
+            };
+            let (mut got_rng, mut want_rng) =
+                (RngStream::new(stream, "pick"), RngStream::new(stream, "pick"));
+            let policy = LocalityFirstPolicy { nodes_per_rack };
+            let got = policy.select_machine(&cluster, &view, &mut got_rng);
+            let want = reference_locality(nodes_per_rack, &cluster, &req, data_home, &mut want_rng);
+            prop_assert!(
+                got == want,
+                "locality, home {data_home:?}, racks of {nodes_per_rack}: {got:?} vs {want:?}"
+            );
+            prop_assert_eq!(got_rng.next_u64(), want_rng.next_u64());
+        }
+        Ok(())
+    });
+}
+
+/// A streaming bus folds each numeric field into its own aggregate even
+/// when one `(component, event)` emits its fields in a changing order, with
+/// some fields absent, non-numeric, or a skipped non-finite `F64`: its
+/// `field_stats` stay bit-identical to a full-retention bus, on the lazy
+/// field path and on the JSON payload path alike.
+#[test]
+fn streaming_field_slots_survive_reordered_and_skipped_fields() {
+    use mcs::simcore::codec::Json;
+    use mcs::simcore::trace::{payload, Field, StreamConfig, TraceBus};
+
+    const KEYS: [&str; 4] = ["a", "b", "c", "d"];
+    Check::new("streaming_field_slots_survive_reordered_and_skipped_fields").cases(64).run(|rng| {
+        let mut full = TraceBus::new();
+        let config = StreamConfig { sketch_centroids: 8, window: None };
+        let mut lazy = TraceBus::streaming(config.clone());
+        let mut eager = TraceBus::streaming(config);
+        for i in 0..200 + rng.uniform_usize(200) {
+            let at = SimTime::from_secs(i as u64);
+            let event = if rng.bernoulli(0.8) { "hot" } else { "cold" };
+            // Mostly a fixed order; sometimes a rotation, a swap or a drop.
+            let mut order: Vec<&'static str> = KEYS.to_vec();
+            match rng.uniform_usize(5) {
+                0 => order.rotate_left(1 + rng.uniform_usize(3)),
+                1 => order.swap(rng.uniform_usize(4), rng.uniform_usize(4)),
+                2 => {
+                    order.remove(rng.uniform_usize(4));
+                }
+                _ => {}
+            }
+            let fields: Vec<(&'static str, Field<'_>)> = order
+                .iter()
+                .map(|&key| {
+                    let field = match rng.uniform_usize(10) {
+                        0 => Field::F64([f64::NAN, f64::INFINITY, -0.0][rng.uniform_usize(3)]),
+                        1 => Field::Str("label"),
+                        2 => Field::U64(rng.uniform_usize(1000) as u64),
+                        _ => Field::F64(rng.uniform_f64(-100.0, 100.0)),
+                    };
+                    (key, field)
+                })
+                .collect();
+            full.record_fields(at, "comp", event, &fields);
+            lazy.record_fields(at, "comp", event, &fields);
+            let json = fields
+                .iter()
+                .map(|&(key, field)| {
+                    let value = match field {
+                        Field::F64(x) => Json::Float(x),
+                        Field::U64(x) => Json::UInt(x),
+                        Field::Str(s) => Json::Str(s.to_owned()),
+                        other => unreachable!("not drawn: {other:?}"),
+                    };
+                    (key, value)
+                })
+                .collect();
+            eager.record(at, "comp", event, payload(json));
+        }
+        let bits = |s: Option<OnlineStats>| {
+            s.map(|s| {
+                let (min, max) = (s.min().unwrap(), s.max().unwrap());
+                (s.count(), [s.mean(), s.variance(), min, max].map(f64::to_bits))
+            })
+        };
+        for event in ["hot", "cold"] {
+            for key in KEYS {
+                let want = bits(full.field_stats("comp", event, key));
+                for (path, bus) in [("fields", &lazy), ("json", &eager)] {
+                    let got = bits(bus.field_stats("comp", event, key));
+                    prop_assert!(got == want, "{path} {event}.{key}: {got:?} vs {want:?}");
+                }
+            }
+        }
+        Ok(())
+    });
+}
