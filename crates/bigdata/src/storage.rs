@@ -169,7 +169,10 @@ impl BlockStore {
     /// number of new replicas created.
     pub fn re_replicate(&mut self) -> usize {
         let live = self.live_nodes();
-        let blocks: Vec<BlockId> = self.placements.keys().copied().collect();
+        // Visit blocks in id order: each repair draws from the store's RNG,
+        // so hash-map order would make placements differ between processes.
+        let mut blocks: Vec<BlockId> = self.placements.keys().copied().collect();
+        blocks.sort_unstable();
         let mut created = 0;
         for b in blocks {
             loop {
@@ -271,6 +274,24 @@ mod tests {
         for b in &blocks {
             assert_eq!(s.locations(*b).len(), 3, "block {b:?} not re-replicated");
             assert!(!s.locations(*b).contains(&victim));
+        }
+    }
+
+    #[test]
+    fn re_replication_is_independent_of_hash_order() {
+        // Each store gets its own hash seed, so equal placements after a
+        // repair mean the repair order does not come from the hash map.
+        let repaired = || {
+            let mut s = store();
+            let blocks = s.put("f", 5_000, 100).blocks.clone();
+            s.fail_node(NodeId(0));
+            s.fail_node(NodeId(5));
+            s.re_replicate();
+            blocks.iter().map(|&b| s.locations(b)).collect::<Vec<_>>()
+        };
+        let reference = repaired();
+        for _ in 0..4 {
+            assert_eq!(repaired(), reference);
         }
     }
 

@@ -40,7 +40,7 @@ use mcs_graph::actor::{BspActor, GraphMsg};
 use mcs_infra::prelude::{Cluster, ClusterId, MachineSpec};
 use mcs_rms::portfolio::{default_portfolio, Objective, PortfolioSelector};
 use mcs_rms::scheduler::{ClusterScheduler, RmsMsg, ScheduleOutcome, SchedulerConfig};
-use mcs_simcore::engine::{ActorId, MessageEnvelope, Simulation};
+use mcs_simcore::engine::{Actor, ActorId, Context, MessageEnvelope, Simulation};
 use mcs_simcore::error::McsError;
 use mcs_simcore::resilience::ResilienceConfig;
 use mcs_simcore::rng::RngStream;
@@ -588,8 +588,9 @@ impl ScenarioConfig {
                 ));
             }
             // Every access link carries the node bandwidth and every uplink
-            // the rack bandwidth, so this is `NetTopology::is_connected`
-            // without building the fabric.
+            // the rack bandwidth, so the fabric is connected exactly when
+            // both are finite and positive in bytes per second; no need to
+            // build it.
             let live = |mbs: f64| {
                 let bps = mbs * MIB as f64;
                 bps.is_finite() && bps > 0.0
@@ -835,13 +836,6 @@ impl Scenario {
         &self.config
     }
 
-    /// Mutable access to the configuration — the hook
-    /// [`crate::subsystem::Subsystem::attach`] implementations use to
-    /// contribute their sub-config to a scenario under construction.
-    pub fn config_mut(&mut self) -> &mut ScenarioConfig {
-        &mut self.config
-    }
-
     /// Replaces the autoscaler governing the FaaS platform.
     #[must_use]
     pub fn with_autoscaler(mut self, autoscaler: Box<dyn Autoscaler>) -> Self {
@@ -862,6 +856,10 @@ impl Scenario {
 
     /// Runs the composed simulation to its horizon and returns the outcome.
     pub fn run(mut self) -> ScenarioOutcome {
+        // Every cross-tenant message below goes through `send_to`,
+        // `transfer` or `fault_window`. The engine breaks ties at one instant
+        // by send order, so the order of the sends inside each hook is part
+        // of the behaviour.
         let cfg = self.config.clone();
 
         // Per-component RNG streams, all derived from the master seed. The
@@ -950,41 +948,29 @@ impl Scenario {
         // The network actor registers last so attaching it never renumbers
         // the tenants (and `network: None` keeps the legacy id layout).
         let net_id = alloc(cfg.network.is_some());
+        let machines = cfg.machines as u32;
 
         let mut arrival = process.as_mut().map(|process| {
             let faas = cfg.faas.as_ref().expect("faas config present with process");
-            let faas_id = faas_id.expect("faas id allocated");
             let function_names = function_names.clone();
             // With a network attached, the invocation payload travels as a
             // flow from the caller's node to the platform front-end (node 0);
             // the net completion router issues the Invoke on delivery.
             let payload_bytes =
                 cfg.network.as_ref().map_or(0, |net| net.faas_payload_bytes.max(1));
-            let machines = cfg.machines as u32;
             ArrivalActor::new(
                 process,
                 RngStream::new(cfg.seed, "arrivals"),
                 cfg.horizon,
                 faas.max_arrivals,
-                move |ctx, index| {
-                    if let Some(id) = net_id {
-                        ctx.send(
-                            id,
-                            SimDuration::ZERO,
-                            EcosystemMsg::Net(NetMsg::Transfer(TransferReq {
-                                src: index as u32 % machines,
-                                dst: 0,
-                                bytes: payload_bytes,
-                                tag: FlowTag { owner: FlowOwner::Faas, id: index as u64 },
-                            })),
-                        );
-                    } else {
+                move |ctx, index| match net_id {
+                    Some(nid) => {
+                        let src = index as u32 % machines;
+                        transfer(ctx, nid, src, 0, payload_bytes, FlowOwner::Faas, index as u64);
+                    }
+                    None => {
                         let function = function_names[index % function_names.len()].clone();
-                        ctx.send(
-                            faas_id,
-                            SimDuration::ZERO,
-                            EcosystemMsg::Faas(FaasMsg::Invoke { function }),
-                        );
+                        send_to(ctx, faas_id, EcosystemMsg::Faas(FaasMsg::Invoke { function }));
                     }
                 },
             )
@@ -1005,20 +991,10 @@ impl Scenario {
             // recovery time tracks contention instead of a fixed backoff.
             if let (Some(nid), Some(net)) = (net_id, cfg.network.as_ref()) {
                 let bytes = (net.rms_checkpoint_mb * MIB).max(1);
-                let machines = cfg.machines as u32;
                 actor = actor.with_checkpoint_hook(move |ctx, task, attempt| {
                     let src = task as u32 % machines;
                     let dst = (task as u32 + 1 + attempt) % machines;
-                    ctx.send(
-                        nid,
-                        SimDuration::ZERO,
-                        EcosystemMsg::Net(NetMsg::Transfer(TransferReq {
-                            src,
-                            dst,
-                            bytes,
-                            tag: FlowTag { owner: FlowOwner::Rms, id: task as u64 },
-                        })),
-                    );
+                    transfer(ctx, nid, src, dst, bytes, FlowOwner::Rms, task as u64);
                 });
             }
             actor
@@ -1026,22 +1002,12 @@ impl Scenario {
 
         let autoscaler = self.autoscaler.as_mut();
         let mut governor = cfg.faas.as_ref().map(|faas| {
-            let faas_id = faas_id.expect("faas id allocated");
-            let mut governor =
-                GovernorActor::new(autoscaler, faas.service, move |ctx, delta| {
-                    ctx.send(
-                        faas_id,
-                        SimDuration::ZERO,
-                        EcosystemMsg::Faas(FaasMsg::Scale(delta)),
-                    );
-                });
+            let mut governor = GovernorActor::new(autoscaler, faas.service, move |ctx, delta| {
+                send_to(ctx, faas_id, EcosystemMsg::Faas(FaasMsg::Scale(delta)));
+            });
             if cfg.resilience.shedder.is_some() {
                 governor = governor.with_shedding(move |ctx, on| {
-                    ctx.send(
-                        faas_id,
-                        SimDuration::ZERO,
-                        EcosystemMsg::Faas(FaasMsg::SetShedding(on)),
-                    );
+                    send_to(ctx, faas_id, EcosystemMsg::Faas(FaasMsg::SetShedding(on)));
                 });
             }
             governor
@@ -1049,16 +1015,12 @@ impl Scenario {
 
         let mut faas_actor = platform.as_mut().map(|platform| {
             let faas = cfg.faas.as_ref().expect("faas config present with platform");
-            let governor_id = governor_id.expect("governor id allocated");
             let mut actor = FaasActor::new(platform)
                 .with_capacity(faas.initial_capacity)
                 .with_resilience(cfg.resilience)
                 .with_observer(faas.service.scaling_interval, move |ctx, demand, supply| {
-                    ctx.send(
-                        governor_id,
-                        SimDuration::ZERO,
-                        EcosystemMsg::Governor(GovernorMsg::Observe { demand, supply }),
-                    );
+                    let observe = GovernorMsg::Observe { demand, supply };
+                    send_to(ctx, governor_id, EcosystemMsg::Governor(observe));
                 });
             if let Some(congestion) = faas.congestion {
                 actor = actor.with_congestion(congestion);
@@ -1068,24 +1030,10 @@ impl Scenario {
             if let (Some(nid), Some(net)) = (net_id, cfg.network.as_ref()) {
                 if net.faas_response_bytes > 0 {
                     let bytes = net.faas_response_bytes;
-                    let machines = cfg.machines as u32;
                     let mut seq = 0u64;
                     actor = actor.with_response_hook(move |ctx, _latency_secs| {
-                        let dst = if machines > 1 {
-                            1 + (seq % u64::from(machines - 1)) as u32
-                        } else {
-                            0
-                        };
-                        ctx.send(
-                            nid,
-                            SimDuration::ZERO,
-                            EcosystemMsg::Net(NetMsg::Transfer(TransferReq {
-                                src: 0,
-                                dst,
-                                bytes,
-                                tag: FlowTag { owner: FlowOwner::FaasResp, id: seq },
-                            })),
-                        );
+                        let dst = spread(seq, machines);
+                        transfer(ctx, nid, 0, dst, bytes, FlowOwner::FaasResp, seq);
                         seq += 1;
                     });
                 }
@@ -1094,204 +1042,80 @@ impl Scenario {
         });
 
         // Crash faults strike every tenant of the shared fleet — the batch
-        // cluster, the warm pool, and the bigdata/graph/gaming actors; the
-        // other kinds open service-level fault windows on the FaaS platform.
+        // cluster, the warm pool, and the bigdata/graph/gaming actors. With
+        // a network attached, partition and gray windows strike the fabric
+        // itself (cut and degraded access links); every other window, and
+        // partition and gray without a network, strikes the FaaS service.
         let mut injector = faults.map(|faults| {
             let failure = cfg.failure.as_ref().expect("failure config present with faults");
             let kill_fraction = failure.kill_fraction;
             let service_fault_secs = failure.service_fault_secs;
-            let has_net = net_id.is_some();
-            // With a network attached, partition and gray windows strike the
-            // fabric itself (cut and degraded access links); without one they
-            // fall back to the legacy FaaS service-fault windows.
-            let service_fault = move |kind: FaultKind| -> Option<FaasFault> {
-                match kind {
-                    FaultKind::Crash => None,
-                    FaultKind::Slowdown { factor } => Some(FaasFault::Slowdown { factor }),
-                    FaultKind::Gray { error_rate } if !has_net => {
-                        Some(FaasFault::Gray { error_rate })
-                    }
-                    FaultKind::Partition if !has_net => Some(FaasFault::Partition),
-                    FaultKind::Gray { .. } | FaultKind::Partition => None,
-                }
+            let net_window = move |f: NetFault| {
+                let (strike, clear) = (NetMsg::Fault(f), NetMsg::FaultClear(f));
+                (net_id, EcosystemMsg::Net(strike), EcosystemMsg::Net(clear))
             };
-            let topo_fault = move |kind: FaultKind, machine: u32| -> Option<NetFault> {
-                if !has_net {
-                    return None;
-                }
-                match kind {
-                    FaultKind::Partition => Some(NetFault::Cut { node: machine }),
-                    FaultKind::Gray { error_rate } => Some(NetFault::Degrade {
-                        node: machine,
-                        factor: (1.0 - error_rate).clamp(0.0, 1.0),
-                    }),
-                    _ => None,
-                }
+            let faas_window = move |f: FaasFault| {
+                let (strike, clear) = (FaasMsg::Fault(f), FaasMsg::FaultClear(f));
+                (faas_id, EcosystemMsg::Faas(strike), EcosystemMsg::Faas(clear))
             };
-            FailureInjector::with_faults(faults, move |ctx, event| match event {
-                FailureEvent::Fail(fault) => {
-                    let machine = fault.outage.machine as u32;
-                    if let (Some(nf), Some(id)) = (topo_fault(fault.kind, machine), net_id) {
-                        ctx.send(
-                            id,
-                            SimDuration::ZERO,
-                            EcosystemMsg::Net(NetMsg::Fault(nf)),
-                        );
-                        if let Some(secs) = service_fault_secs {
-                            ctx.send(
-                                id,
-                                SimDuration::from_secs_f64(secs),
-                                EcosystemMsg::Net(NetMsg::FaultClear(nf)),
-                            );
+            FailureInjector::with_faults(faults, move |ctx, event| {
+                let (fault, up) = match event {
+                    FailureEvent::Fail(fault) => (fault, false),
+                    FailureEvent::Repair(fault) => (fault, true),
+                };
+                let machine = fault.outage.machine as u32;
+                let (to, strike, clear) = match fault.kind {
+                    FaultKind::Crash => {
+                        let (rms, bigdata, graph, gaming) = if up {
+                            (
+                                RmsMsg::MachineRepair(machine),
+                                BigdataMsg::NodeRepair(machine),
+                                GraphMsg::NodeRepair(machine),
+                                GamingMsg::NodeRepair(machine),
+                            )
+                        } else {
+                            (
+                                RmsMsg::MachineFail(machine),
+                                BigdataMsg::NodeFail(machine),
+                                GraphMsg::NodeFail(machine),
+                                GamingMsg::NodeFail(machine),
+                            )
+                        };
+                        send_to(ctx, scheduler_id, EcosystemMsg::Rms(rms));
+                        if !up {
+                            let kill = FaasMsg::KillWarm { fraction: kill_fraction };
+                            send_to(ctx, faas_id, EcosystemMsg::Faas(kill));
                         }
+                        send_to(ctx, bigdata_id, EcosystemMsg::Bigdata(bigdata));
+                        send_to(ctx, graph_id, EcosystemMsg::Graph(graph));
+                        send_to(ctx, gaming_id, EcosystemMsg::Gaming(gaming));
                         return;
                     }
-                    match service_fault(fault.kind) {
-                        None => {
-                            if let Some(id) = scheduler_id {
-                                ctx.send(
-                                    id,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Rms(RmsMsg::MachineFail(machine)),
-                                );
-                            }
-                            if let Some(id) = faas_id {
-                                ctx.send(
-                                    id,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Faas(FaasMsg::KillWarm {
-                                        fraction: kill_fraction,
-                                    }),
-                                );
-                            }
-                            if let Some(id) = bigdata_id {
-                                ctx.send(
-                                    id,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Bigdata(BigdataMsg::NodeFail(machine)),
-                                );
-                            }
-                            if let Some(id) = graph_id {
-                                ctx.send(
-                                    id,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Graph(GraphMsg::NodeFail(machine)),
-                                );
-                            }
-                            if let Some(id) = gaming_id {
-                                ctx.send(
-                                    id,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Gaming(GamingMsg::NodeFail(machine)),
-                                );
-                            }
-                        }
-                        Some(f) => {
-                            if let Some(id) = faas_id {
-                                ctx.send(
-                                    id,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Faas(FaasMsg::Fault(f)),
-                                );
-                                if let Some(secs) = service_fault_secs {
-                                    ctx.send(
-                                        id,
-                                        SimDuration::from_secs_f64(secs),
-                                        EcosystemMsg::Faas(FaasMsg::FaultClear(f)),
-                                    );
-                                }
-                            }
-                        }
+                    FaultKind::Partition if net_id.is_some() => {
+                        net_window(NetFault::Cut { node: machine })
                     }
-                }
-                FailureEvent::Repair(fault) => {
-                    let machine = fault.outage.machine as u32;
-                    if let (Some(nf), Some(id)) = (topo_fault(fault.kind, machine), net_id) {
-                        // When the window length is overridden, the clear was
-                        // already scheduled at fault-strike time.
-                        if service_fault_secs.is_none() {
-                            ctx.send(
-                                id,
-                                SimDuration::ZERO,
-                                EcosystemMsg::Net(NetMsg::FaultClear(nf)),
-                            );
-                        }
-                        return;
+                    FaultKind::Gray { error_rate } if net_id.is_some() => {
+                        let factor = (1.0 - error_rate).clamp(0.0, 1.0);
+                        net_window(NetFault::Degrade { node: machine, factor })
                     }
-                    match service_fault(fault.kind) {
-                        None => {
-                            if let Some(id) = scheduler_id {
-                                ctx.send(
-                                    id,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Rms(RmsMsg::MachineRepair(machine)),
-                                );
-                            }
-                            if let Some(id) = bigdata_id {
-                                ctx.send(
-                                    id,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Bigdata(BigdataMsg::NodeRepair(machine)),
-                                );
-                            }
-                            if let Some(id) = graph_id {
-                                ctx.send(
-                                    id,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Graph(GraphMsg::NodeRepair(machine)),
-                                );
-                            }
-                            if let Some(id) = gaming_id {
-                                ctx.send(
-                                    id,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Gaming(GamingMsg::NodeRepair(machine)),
-                                );
-                            }
-                        }
-                        Some(f) => {
-                            // When the window length is overridden, the clear
-                            // was already scheduled at fault-strike time.
-                            if service_fault_secs.is_none() {
-                                if let Some(id) = faas_id {
-                                    ctx.send(
-                                        id,
-                                        SimDuration::ZERO,
-                                        EcosystemMsg::Faas(FaasMsg::FaultClear(f)),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
+                    FaultKind::Slowdown { factor } => faas_window(FaasFault::Slowdown { factor }),
+                    FaultKind::Gray { error_rate } => faas_window(FaasFault::Gray { error_rate }),
+                    FaultKind::Partition => faas_window(FaasFault::Partition),
+                };
+                fault_window(ctx, to, up, service_fault_secs, strike, clear);
             })
             .with_horizon(cfg.horizon)
         });
 
         let mut bigdata_actor = cfg.bigdata.as_ref().map(|bigdata| {
-            let mut actor: DataflowActor<'_, EcosystemMsg> = DataflowActor::new(
-                bigdata.clone(),
-                cfg.machines as u32,
-                RngStream::new(cfg.seed, "bigdata"),
-            );
+            let mut actor: DataflowActor<'_, EcosystemMsg> =
+                DataflowActor::new(bigdata.clone(), machines, RngStream::new(cfg.seed, "bigdata"));
             // The cross-tenant interference channel: each shuffle window
             // opens network pressure on the co-tenant subsystems.
             if graph_id.is_some() || gaming_id.is_some() {
                 actor = actor.with_shuffle_hook(move |ctx, _job, active| {
-                    if let Some(id) = graph_id {
-                        ctx.send(
-                            id,
-                            SimDuration::ZERO,
-                            EcosystemMsg::Graph(GraphMsg::Pressure(active)),
-                        );
-                    }
-                    if let Some(id) = gaming_id {
-                        ctx.send(
-                            id,
-                            SimDuration::ZERO,
-                            EcosystemMsg::Gaming(GamingMsg::Pressure(active)),
-                        );
-                    }
+                    send_to(ctx, graph_id, EcosystemMsg::Graph(GraphMsg::Pressure(active)));
+                    send_to(ctx, gaming_id, EcosystemMsg::Gaming(GamingMsg::Pressure(active)));
                 });
             }
             // With a network attached, map-input reads and shuffle traffic
@@ -1302,23 +1126,14 @@ impl Scenario {
                         BdPhase::Map => FlowOwner::BdMap,
                         BdPhase::Shuffle => FlowOwner::BdShuffle,
                     };
-                    ctx.send(
-                        nid,
-                        SimDuration::ZERO,
-                        EcosystemMsg::Net(NetMsg::Transfer(TransferReq {
-                            src: t.src,
-                            dst: t.dst,
-                            bytes: t.bytes.max(1),
-                            tag: FlowTag { owner, id: t.job as u64 },
-                        })),
-                    );
+                    transfer(ctx, nid, t.src, t.dst, t.bytes.max(1), owner, t.job as u64);
                 });
             }
             actor
         });
 
         let mut graph_actor = cfg.graph.as_ref().map(|graph| {
-            BspActor::new(graph.clone(), cfg.machines as u32, RngStream::new(cfg.seed, "graph"))
+            BspActor::new(graph.clone(), machines, RngStream::new(cfg.seed, "graph"))
         });
 
         let mut gaming_actor = cfg.gaming.as_ref().map(|gaming| {
@@ -1327,31 +1142,15 @@ impl Scenario {
             // With a network attached, world-state syncs ride the fabric and
             // lag whenever co-tenant traffic crowds their links.
             if let (Some(nid), Some(net)) = (net_id, cfg.network.as_ref()) {
-                let machines = cfg.machines as u32;
-                actor = actor.with_sync(
-                    GamingSyncConfig {
-                        interval: net.gaming_sync_interval,
-                        base_bytes: net.gaming_sync_base_bytes,
-                        per_player_bytes: net.gaming_sync_per_player_bytes,
-                    },
-                    move |ctx, seq, bytes| {
-                        let src = if machines > 1 {
-                            1 + (seq % u64::from(machines - 1)) as u32
-                        } else {
-                            0
-                        };
-                        ctx.send(
-                            nid,
-                            SimDuration::ZERO,
-                            EcosystemMsg::Net(NetMsg::Transfer(TransferReq {
-                                src,
-                                dst: 0,
-                                bytes: bytes.max(1),
-                                tag: FlowTag { owner: FlowOwner::Game, id: seq },
-                            })),
-                        );
-                    },
-                );
+                let sync = GamingSyncConfig {
+                    interval: net.gaming_sync_interval,
+                    base_bytes: net.gaming_sync_base_bytes,
+                    per_player_bytes: net.gaming_sync_per_player_bytes,
+                };
+                actor = actor.with_sync(sync, move |ctx, seq, bytes| {
+                    let src = spread(seq, machines);
+                    transfer(ctx, nid, src, 0, bytes.max(1), FlowOwner::Game, seq);
+                });
             }
             actor
         });
@@ -1362,30 +1161,19 @@ impl Scenario {
             // locality structure the locality-first policy reasons over.
             let mut actor: DagActor<'_, EcosystemMsg> = match cfg.network.as_ref() {
                 Some(net) => DagActor::with_rack_width(
-                    cfg.machines as u32,
+                    machines,
                     dag.clone(),
                     &mut rng,
                     net.nodes_per_rack as u32,
                 ),
-                None => DagActor::new(cfg.machines as u32, dag.clone(), &mut rng),
+                None => DagActor::new(machines, dag.clone(), &mut rng),
             };
             // With a network attached, edge payloads ride the fabric; the
             // net completion router delivers the EdgeDone barriers.
             if let Some(nid) = net_id {
                 actor = actor.with_edge_hook(move |ctx, t| {
-                    ctx.send(
-                        nid,
-                        SimDuration::ZERO,
-                        EcosystemMsg::Net(NetMsg::Transfer(TransferReq {
-                            src: t.src,
-                            dst: t.dst,
-                            bytes: t.bytes.max(1),
-                            tag: FlowTag {
-                                owner: FlowOwner::Dag,
-                                id: (u64::from(t.job) << 32) | u64::from(t.edge),
-                            },
-                        })),
-                    );
+                    let id = (u64::from(t.job) << 32) | u64::from(t.edge);
+                    transfer(ctx, nid, t.src, t.dst, t.bytes.max(1), FlowOwner::Dag, id);
                 });
             }
             actor
@@ -1393,140 +1181,56 @@ impl Scenario {
 
         // The shared fabric, with the completion router that turns finished
         // flows back into tenant messages. Aborted flows (stranded on a cut
-        // endpoint past the flow timeout) take the retry-or-fail-fast
-        // branch instead of the delivery branch.
+        // endpoint past the flow timeout) take the retry-or-fail-fast arms.
         let mut net_actor = cfg.network.as_ref().map(|net| {
             let function_names = function_names.clone();
             let lag_budget = net.gaming_lag_budget.as_secs_f64();
             let nid = net_id.expect("net id allocated");
             NetActor::new(net.topology(cfg.machines))
                 .with_flow_timeout(net.flow_timeout)
-                .with_completion(move |ctx, done| {
-                    if done.aborted {
-                        match done.tag.owner {
-                            // The invocation payload (or its response) is
-                            // lost: the caller fails fast, nothing retries.
-                            FlowOwner::Faas | FlowOwner::FaasResp => {}
-                            // The checkpoint fetch is abandoned; the task
-                            // re-enters the queue and restarts.
-                            FlowOwner::Rms => {
-                                if let Some(id) = scheduler_id {
-                                    ctx.send(
-                                        id,
-                                        SimDuration::ZERO,
-                                        EcosystemMsg::Rms(RmsMsg::Requeue(
-                                            done.tag.id as usize,
-                                        )),
-                                    );
-                                }
-                            }
-                            // Barriers would hang forever on a lost transfer:
-                            // retry it (bounded by the timeout cadence until
-                            // the cut heals or the run ends). Workflow input
-                            // edges are barriers too — the consumer task
-                            // cannot start without its bytes.
-                            FlowOwner::BdMap | FlowOwner::BdShuffle | FlowOwner::Dag => {
-                                ctx.send(
-                                    nid,
-                                    SimDuration::ZERO,
-                                    EcosystemMsg::Net(NetMsg::Transfer(TransferReq {
-                                        src: done.src,
-                                        dst: done.dst,
-                                        bytes: done.bytes,
-                                        tag: done.tag,
-                                    })),
-                                );
-                            }
-                            // A lost world-state sync counts as (very) lagged.
-                            FlowOwner::Game => {
-                                if let Some(id) = gaming_id {
-                                    ctx.send(
-                                        id,
-                                        SimDuration::ZERO,
-                                        EcosystemMsg::Gaming(GamingMsg::SyncDone(true)),
-                                    );
-                                }
-                            }
-                            FlowOwner::Test => {
-                                debug_assert!(false, "test flows never reach a scenario")
-                            }
-                        }
-                        return;
-                    }
-                    match done.tag.owner {
+                .with_completion(move |ctx, done| match done.tag.owner {
+                    // A lost invocation payload fails fast; nothing retries.
+                    FlowOwner::Faas if done.aborted => {}
                     FlowOwner::Faas => {
-                        if let Some(id) = faas_id {
-                            let function = function_names
-                                [done.tag.id as usize % function_names.len()]
-                            .clone();
-                            ctx.send(
-                                id,
-                                SimDuration::ZERO,
-                                EcosystemMsg::Faas(FaasMsg::Invoke { function }),
-                            );
-                        }
+                        let function =
+                            function_names[done.tag.id as usize % function_names.len()].clone();
+                        send_to(ctx, faas_id, EcosystemMsg::Faas(FaasMsg::Invoke { function }));
                     }
-                    // Responses only contended for bandwidth; nothing waits
-                    // on their delivery.
+                    // Responses only contend for bandwidth; nothing waits on
+                    // them, delivered or lost.
                     FlowOwner::FaasResp => {}
+                    // A fetched checkpoint re-enters the queue; an abandoned
+                    // fetch does too, and the task restarts.
                     FlowOwner::Rms => {
-                        if let Some(id) = scheduler_id {
-                            ctx.send(
-                                id,
-                                SimDuration::ZERO,
-                                EcosystemMsg::Rms(RmsMsg::Requeue(done.tag.id as usize)),
-                            );
-                        }
+                        let requeue = RmsMsg::Requeue(done.tag.id as usize);
+                        send_to(ctx, scheduler_id, EcosystemMsg::Rms(requeue));
+                    }
+                    // Barriers would hang forever on a lost transfer: retry it
+                    // (bounded by the timeout cadence until the cut heals or
+                    // the run ends). Workflow input edges are barriers too —
+                    // the consumer task cannot start without its bytes.
+                    FlowOwner::BdMap | FlowOwner::BdShuffle | FlowOwner::Dag if done.aborted => {
+                        let tag = done.tag;
+                        transfer(ctx, nid, done.src, done.dst, done.bytes, tag.owner, tag.id);
                     }
                     FlowOwner::BdMap => {
-                        if let Some(id) = bigdata_id {
-                            ctx.send(
-                                id,
-                                SimDuration::ZERO,
-                                EcosystemMsg::Bigdata(BigdataMsg::MapXferDone(
-                                    done.tag.id as usize,
-                                )),
-                            );
-                        }
+                        let msg = BigdataMsg::MapXferDone(done.tag.id as usize);
+                        send_to(ctx, bigdata_id, EcosystemMsg::Bigdata(msg));
                     }
                     FlowOwner::BdShuffle => {
-                        if let Some(id) = bigdata_id {
-                            ctx.send(
-                                id,
-                                SimDuration::ZERO,
-                                EcosystemMsg::Bigdata(BigdataMsg::ShuffleXferDone(
-                                    done.tag.id as usize,
-                                )),
-                            );
-                        }
-                    }
-                    FlowOwner::Game => {
-                        if let Some(id) = gaming_id {
-                            ctx.send(
-                                id,
-                                SimDuration::ZERO,
-                                EcosystemMsg::Gaming(GamingMsg::SyncDone(
-                                    done.secs > lag_budget,
-                                )),
-                            );
-                        }
+                        let msg = BigdataMsg::ShuffleXferDone(done.tag.id as usize);
+                        send_to(ctx, bigdata_id, EcosystemMsg::Bigdata(msg));
                     }
                     FlowOwner::Dag => {
-                        if let Some(id) = dag_id {
-                            ctx.send(
-                                id,
-                                SimDuration::ZERO,
-                                EcosystemMsg::Dag(DagMsg::EdgeDone {
-                                    job: (done.tag.id >> 32) as u32,
-                                    edge: done.tag.id as u32,
-                                }),
-                            );
-                        }
+                        let (job, edge) = ((done.tag.id >> 32) as u32, done.tag.id as u32);
+                        send_to(ctx, dag_id, EcosystemMsg::Dag(DagMsg::EdgeDone { job, edge }));
                     }
-                    FlowOwner::Test => {
-                        debug_assert!(false, "test flows never reach a scenario")
+                    // A lost world-state sync counts as (very) lagged.
+                    FlowOwner::Game => {
+                        let lagged = done.aborted || done.secs > lag_budget;
+                        send_to(ctx, gaming_id, EcosystemMsg::Gaming(GamingMsg::SyncDone(lagged)));
                     }
-                    }
+                    FlowOwner::Test => debug_assert!(false, "test flows never reach a scenario"),
                 })
         });
 
@@ -1537,84 +1241,36 @@ impl Scenario {
             // as they are recorded, so a late switch would lose history.
             sim.set_trace(TraceBus::streaming(obs.stream_config()));
         }
-        if let Some(actor) = arrival.as_mut() {
-            let id = sim.add_actor(actor);
-            debug_assert_eq!(Some(id), arrival_id, "registration order must match precomputed ids");
-            let _ = id;
-        }
-        if let Some(actor) = scheduler_actor.as_mut() {
-            let id = sim.add_actor(actor);
-            debug_assert_eq!(Some(id), scheduler_id, "registration order must match precomputed ids");
-            let _ = id;
-        }
-        if let Some(actor) = governor.as_mut() {
-            let id = sim.add_actor(actor);
-            debug_assert_eq!(Some(id), governor_id, "registration order must match precomputed ids");
-            let _ = id;
-        }
-        if let Some(actor) = faas_actor.as_mut() {
-            let id = sim.add_actor(actor);
-            debug_assert_eq!(Some(id), faas_id, "registration order must match precomputed ids");
-            let _ = id;
-        }
-        if let Some(actor) = injector.as_mut() {
-            let id = sim.add_actor(actor);
-            debug_assert_eq!(Some(id), injector_id, "registration order must match precomputed ids");
-            let _ = id;
-        }
-        if let Some(actor) = bigdata_actor.as_mut() {
-            let id = sim.add_actor(actor);
-            debug_assert_eq!(Some(id), bigdata_id, "registration order must match precomputed ids");
-            let _ = id;
-        }
-        if let Some(actor) = graph_actor.as_mut() {
-            let id = sim.add_actor(actor);
-            debug_assert_eq!(Some(id), graph_id, "registration order must match precomputed ids");
-            let _ = id;
-        }
-        if let Some(actor) = gaming_actor.as_mut() {
-            let id = sim.add_actor(actor);
-            debug_assert_eq!(Some(id), gaming_id, "registration order must match precomputed ids");
-            let _ = id;
-        }
-        if let Some(actor) = dag_actor.as_mut() {
-            let id = sim.add_actor(actor);
-            debug_assert_eq!(Some(id), dag_id, "registration order must match precomputed ids");
-            let _ = id;
-        }
-        if let Some(actor) = net_actor.as_mut() {
-            let id = sim.add_actor(actor);
-            debug_assert_eq!(Some(id), net_id, "registration order must match precomputed ids");
-            let _ = id;
-        }
+        register(&mut sim, arrival.as_mut(), arrival_id);
+        register(&mut sim, scheduler_actor.as_mut(), scheduler_id);
+        register(&mut sim, governor.as_mut(), governor_id);
+        register(&mut sim, faas_actor.as_mut(), faas_id);
+        register(&mut sim, injector.as_mut(), injector_id);
+        register(&mut sim, bigdata_actor.as_mut(), bigdata_id);
+        register(&mut sim, graph_actor.as_mut(), graph_id);
+        register(&mut sim, gaming_actor.as_mut(), gaming_id);
+        register(&mut sim, dag_actor.as_mut(), dag_id);
+        register(&mut sim, net_actor.as_mut(), net_id);
 
-        if let Some(id) = arrival_id {
-            sim.schedule(SimTime::ZERO, id, EcosystemMsg::Arrival(ArrivalMsg::Start));
-        }
-        if let Some(id) = scheduler_id {
-            sim.schedule(SimTime::ZERO, id, EcosystemMsg::Rms(RmsMsg::Start));
-        }
-        if let Some(id) = injector_id {
-            sim.schedule(SimTime::ZERO, id, EcosystemMsg::Injector(InjectorMsg::Start));
-        }
-        if let (Some(id), Some(faas)) = (faas_id, cfg.faas.as_ref()) {
-            sim.schedule(
-                SimTime::ZERO + faas.service.scaling_interval,
-                id,
-                EcosystemMsg::Faas(FaasMsg::Report),
-            );
-        }
-        if let Some(id) = bigdata_id {
-            sim.schedule(SimTime::ZERO, id, EcosystemMsg::Bigdata(BigdataMsg::Start));
-        }
-        if let Some(id) = graph_id {
-            sim.schedule(SimTime::ZERO, id, EcosystemMsg::Graph(GraphMsg::Start));
-        }
-        if let Some(id) = gaming_id {
-            sim.schedule(SimTime::ZERO, id, EcosystemMsg::Gaming(GamingMsg::Start));
-        }
-        if let Some(id) = dag_id {
-            sim.schedule(SimTime::ZERO, id, EcosystemMsg::Dag(DagMsg::Start));
+        // The FaaS platform reports its first observation one scaling
+        // interval in; everything else starts at time zero.
+        let report_at = cfg.faas.as_ref().map_or(SimTime::ZERO, |faas| {
+            SimTime::ZERO + faas.service.scaling_interval
+        });
+        let starts = [
+            (arrival_id, SimTime::ZERO, EcosystemMsg::Arrival(ArrivalMsg::Start)),
+            (scheduler_id, SimTime::ZERO, EcosystemMsg::Rms(RmsMsg::Start)),
+            (injector_id, SimTime::ZERO, EcosystemMsg::Injector(InjectorMsg::Start)),
+            (faas_id, report_at, EcosystemMsg::Faas(FaasMsg::Report)),
+            (bigdata_id, SimTime::ZERO, EcosystemMsg::Bigdata(BigdataMsg::Start)),
+            (graph_id, SimTime::ZERO, EcosystemMsg::Graph(GraphMsg::Start)),
+            (gaming_id, SimTime::ZERO, EcosystemMsg::Gaming(GamingMsg::Start)),
+            (dag_id, SimTime::ZERO, EcosystemMsg::Dag(DagMsg::Start)),
+        ];
+        for (id, at, msg) in starts {
+            if let Some(id) = id {
+                sim.schedule(at, id, msg);
+            }
         }
         sim.run();
 
@@ -1691,6 +1347,73 @@ impl Scenario {
             events_handled,
             trace,
         }
+    }
+}
+
+/// Sends `msg` to `to` at the current instant, when that tenant is attached.
+fn send_to(ctx: &mut Context<'_, EcosystemMsg>, to: Option<ActorId>, msg: EcosystemMsg) {
+    if let Some(id) = to {
+        ctx.send(id, SimDuration::ZERO, msg);
+    }
+}
+
+/// Starts a flow of `bytes` from node `src` to node `dst` on the fabric
+/// `net`, tagged so the completion router can hand it back to `owner`.
+fn transfer(
+    ctx: &mut Context<'_, EcosystemMsg>,
+    net: ActorId,
+    src: u32,
+    dst: u32,
+    bytes: u64,
+    owner: FlowOwner,
+    id: u64,
+) {
+    let req = TransferReq { src, dst, bytes, tag: FlowTag { owner, id } };
+    ctx.send(net, SimDuration::ZERO, EcosystemMsg::Net(NetMsg::Transfer(req)));
+}
+
+/// Spreads a sequence over the nodes other than the front-end (node 0), or
+/// onto node 0 when the fleet has only that one.
+fn spread(seq: u64, machines: u32) -> u32 {
+    if machines > 1 {
+        1 + (seq % u64::from(machines - 1)) as u32
+    } else {
+        0
+    }
+}
+
+/// Opens (`up == false`) or closes (`up == true`) a fault window on `to`.
+/// With a fixed window length the clear is scheduled when the fault strikes,
+/// so the repair sends nothing; otherwise the repair sends the clear.
+fn fault_window(
+    ctx: &mut Context<'_, EcosystemMsg>,
+    to: Option<ActorId>,
+    up: bool,
+    service_fault_secs: Option<f64>,
+    strike: EcosystemMsg,
+    clear: EcosystemMsg,
+) {
+    let Some(id) = to else { return };
+    if !up {
+        ctx.send(id, SimDuration::ZERO, strike);
+        if let Some(secs) = service_fault_secs {
+            ctx.send(id, SimDuration::from_secs_f64(secs), clear);
+        }
+    } else if service_fault_secs.is_none() {
+        ctx.send(id, SimDuration::ZERO, clear);
+    }
+}
+
+/// Registers `actor`, when its subsystem is attached, and checks that it
+/// received the id precomputed for it.
+fn register<'a, A: Actor<EcosystemMsg> + 'a>(
+    sim: &mut Simulation<'a, EcosystemMsg>,
+    actor: Option<&'a mut A>,
+    expected: Option<ActorId>,
+) {
+    if let Some(actor) = actor {
+        let id = sim.add_actor(actor);
+        debug_assert_eq!(Some(id), expected, "registration order must match precomputed ids");
     }
 }
 
@@ -2066,6 +1789,21 @@ mod tests {
         // Every abort is also visible to the flow-accounting identity:
         // started = delivered + aborted + still-in-flight-at-horizon.
         assert!(out.net_flows_delivered + out.net_flows_aborted <= out.net_flows_started);
+    }
+
+    #[test]
+    fn starved_fabric_runs_to_the_horizon() {
+        // At these bandwidths, once enough flows share a link, a predicted
+        // completion lies past `SimDuration::MAX`. It saturates there instead
+        // of wrapping to the current instant, where it would re-fire forever.
+        for node_bandwidth_mbs in [1e-9, 1e-300] {
+            let config = ScenarioConfig { horizon: SimTime::from_secs(1800), ..small_config() }
+                .with_network(NetworkConfig { node_bandwidth_mbs, ..NetworkConfig::default() });
+            let out = Scenario::new(config).run();
+            assert!(out.net_flows_started > 0, "no flow reached the fabric");
+            // Only flows that never leave their node finish.
+            assert!(out.net_flows_delivered < out.net_flows_started);
+        }
     }
 
     #[test]

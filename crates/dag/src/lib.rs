@@ -8,7 +8,7 @@
 //! - [`job::DagJob`] — a validated workflow (acyclic, weakly connected,
 //!   in-range edges) of [`job::DagTask`]s joined by byte-annotated
 //!   [`job::DagEdge`]s, with HEFT upward ranks and a critical-path bound.
-//! - [`generate`] — deterministic generators for the canonical science
+//! - [`generate`](mod@generate) — deterministic generators for the canonical science
 //!   shapes: chains, fork-join bags, Montage-like mosaics, LIGO-like
 //!   inspiral pipelines.
 //! - [`portfolio`] — [`portfolio::lookahead_makespan`], a pure simulate-ahead

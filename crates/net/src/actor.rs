@@ -142,7 +142,8 @@ pub struct FlowDone {
     /// Wall time the transfer took, including propagation latency.
     pub secs: f64,
     /// What the transfer would have taken alone on a healthy fabric:
-    /// `bytes / base_bottleneck + latency`. `secs - ideal_secs` is stall.
+    /// `bytes` over the smallest nominal capacity on the path, plus latency.
+    /// `secs - ideal_secs` is stall.
     pub ideal_secs: f64,
     /// Whether the flow was aborted after stalling on a cut link for the
     /// configured timeout instead of draining its bytes.
@@ -785,6 +786,27 @@ mod tests {
         assert_eq!(actor.in_flight(), 0);
         // Each flow took ~2 s against a ~1 s ideal.
         assert!(actor.stall_secs() > 1.5, "stall = {}", actor.stall_secs());
+    }
+
+    #[test]
+    fn ideal_time_ignores_link_faults() {
+        // A cross-rack flow from a half-degraded node: the fault stretches
+        // the transfer, but the ideal stays the healthy-fabric time.
+        let bytes = (100.0 * MB) as u64;
+        let done = std::cell::RefCell::new(Vec::new());
+        let mut sim: Simulation<'_, NetMsg> = Simulation::new(7);
+        let actor = NetActor::new(topo()).with_completion(|_, fd: &FlowDone| {
+            done.borrow_mut().push((fd.secs, fd.ideal_secs));
+        });
+        let id = sim.add_actor(actor);
+        let degrade = NetFault::Degrade { node: 0, factor: 0.5 };
+        sim.schedule(SimTime::ZERO, id, NetMsg::Fault(degrade));
+        sim.schedule(SimTime::ZERO, id, NetMsg::Transfer(req(0, 5, bytes, 0)));
+        sim.run();
+        drop(sim);
+        let (secs, ideal_secs) = done.into_inner()[0];
+        assert!((ideal_secs - 1.002).abs() < 1e-9, "ideal = {ideal_secs}");
+        assert!((secs - 2.002).abs() < 1e-3, "secs = {secs}");
     }
 
     /// Forty overlapping same- and cross-rack flows with a cut and a

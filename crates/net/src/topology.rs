@@ -167,15 +167,6 @@ impl NetTopology {
         };
     }
 
-    /// The smallest nominal capacity along `src → dst` — the uncontended,
-    /// fault-free bottleneck used for ideal-transfer-time accounting.
-    pub fn base_bottleneck(&self, src: u32, dst: u32) -> f64 {
-        self.path(src, dst)
-            .iter()
-            .map(|&l| self.base_capacity(l))
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Partitions `node` off the fabric: its access link carries nothing
     /// until a matching [`NetTopology::restore_node`].
     pub fn cut_node(&mut self, node: u32) {
@@ -208,13 +199,6 @@ impl NetTopology {
             self.degrades[l].remove(pos);
             self.refresh(l);
         }
-    }
-
-    /// True when every node can reach every other: each access link and
-    /// each uplink has positive, finite nominal capacity. (The two-tier
-    /// fabric is connected by construction *except* through a dead link.)
-    pub fn is_connected(&self) -> bool {
-        self.base_capacity.iter().all(|&c| c.is_finite() && c > 0.0)
     }
 }
 
@@ -293,27 +277,5 @@ mod tests {
         assert!((t.effective_capacity(1) - 25.0).abs() < 1e-9);
         t.undegrade_node(1, 0.25);
         assert_eq!(t.effective_capacity(1), 100.0);
-    }
-
-    #[test]
-    fn ideal_bottleneck_ignores_faults() {
-        let mut t = topo();
-        t.cut_node(0);
-        assert_eq!(t.base_bottleneck(0, 5), 100.0);
-        assert_eq!(t.base_bottleneck(0, 0), f64::INFINITY);
-    }
-
-    #[test]
-    fn connectivity_requires_live_links() {
-        assert!(topo().is_connected());
-        let dead = NetTopology::new(
-            4,
-            2,
-            0.0,
-            40.0,
-            SimDuration::ZERO,
-            SimDuration::ZERO,
-        );
-        assert!(!dead.is_connected());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Historically the scheduler's policy space was two ad-hoc knobs — a
 //! [`QueuePolicy`] match inside `sort_queue` and an
-//! [`AllocationPolicy`](crate::allocation::AllocationPolicy) call inside
+//! [`AllocationPolicy`] call inside
 //! `try_place` — which DAG-aware disciplines (HEFT ranks, data locality)
 //! cannot express: they need to order by precedence-derived priority and
 //! place by where a task's inputs live. [`SchedulingPolicy`] unifies both

@@ -159,16 +159,18 @@ impl SimDuration {
     }
 }
 
+// Additions saturate: an instant or span at `MAX` lies past every horizon,
+// and wrapping would bring it back to the start of time.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -182,13 +184,13 @@ impl Sub<SimTime> for SimTime {
 impl Add for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimDuration {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -244,6 +246,20 @@ mod tests {
         let t = SimTime::from_secs(1) + SimDuration::from_millis(500);
         assert_eq!(t.as_nanos(), 1_500_000_000);
         assert_eq!(t - SimTime::from_secs(1), SimDuration::from_millis(500));
+    }
+
+    #[test]
+    fn additions_saturate_at_max() {
+        let one = SimDuration::from_nanos(1);
+        assert_eq!(SimTime::MAX + one, SimTime::MAX);
+        assert_eq!(SimDuration::MAX + one, SimDuration::MAX);
+        let mut t = SimTime::from_secs(1);
+        t += SimDuration::MAX;
+        assert_eq!(t, SimTime::MAX);
+        let mut d = SimDuration::MAX;
+        d += SimDuration::from_secs(1);
+        assert_eq!(d, SimDuration::MAX);
+        assert_eq!(SimTime::from_secs(1) + one, SimTime::from_nanos(1_000_000_001));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! seed-deterministic record of everything that happened. This module is
 //! that record: every actor in a [`crate::engine::Simulation`] emits
 //! `(SimTime, component, event, payload)` tuples into a [`TraceBus`] via
-//! [`crate::engine::Context::emit`], and [`crate::metrics`] aggregates the
+//! [`crate::engine::Context::emit_fields`], and [`crate::metrics`] aggregates the
 //! bus into summaries and time-weighted gauges.
 //!
 //! # Schema
@@ -341,7 +341,7 @@ enum Sink {
 /// The append-only, seed-deterministic record of one simulation run.
 ///
 /// Owned by [`crate::engine::Simulation`]; actors append through
-/// [`crate::engine::Context::emit`], and the experiment harness reads it
+/// [`crate::engine::Context::emit_fields`], and the experiment harness reads it
 /// back after the run (or takes it with
 /// [`crate::engine::Simulation::take_trace`]).
 #[derive(Debug)]

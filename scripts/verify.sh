@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# Doc gate: every intra-doc link must resolve, so a doc comment that still
+# names a deleted or private item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
@@ -69,4 +72,4 @@ for workload in fabric_stream workflow_fabric composed_retained; do
     fi
 done
 
-echo "verify: OK (offline build + tests + clippy + par-aware determinism diffs + invariant gate + bench smoke + scenario pins + allow-lint budget)"
+echo "verify: OK (offline build + tests + clippy + rustdoc links + par-aware determinism diffs + invariant gate + bench smoke + scenario pins + allow-lint budget)"

@@ -282,7 +282,6 @@ fn mmc_consistency() {
 /// with the same seed, for arbitrary mesh sizes and flood depths.
 #[test]
 fn same_timestamp_mesh_delivery_is_deterministic() {
-    use mcs::simcore::codec::Json;
     use mcs::simcore::engine::{Actor, ActorId, Context, Simulation};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -301,13 +300,13 @@ fn same_timestamp_mesh_delivery_is_deterministic() {
     impl Actor<Flood> for MeshActor {
         fn handle(&mut self, ctx: &mut Context<'_, Flood>, msg: Flood) {
             self.log.borrow_mut().push((self.index, msg.ttl));
-            ctx.emit(
+            ctx.emit_fields(
                 "mesh",
                 "recv",
-                Json::Obj(vec![
-                    ("actor".into(), Json::UInt(self.index as u64)),
-                    ("ttl".into(), Json::UInt(u64::from(msg.ttl))),
-                ]),
+                &[
+                    ("actor", Field::U64(self.index as u64)),
+                    ("ttl", Field::U64(u64::from(msg.ttl))),
+                ],
             );
             if msg.ttl > 0 {
                 for offset in [1usize, 2] {
@@ -520,7 +519,7 @@ fn seed_fanout_is_worker_count_independent() {
     impl Actor<Ping> for Pinger {
         fn handle(&mut self, ctx: &mut Context<'_, Ping>, _msg: Ping) {
             let jitter = ctx.rng().uniform_f64(0.0, 1.0);
-            ctx.emit("pinger", "ping", Json::Obj(vec![("jitter".into(), Json::Float(jitter))]));
+            ctx.emit_fields("pinger", "ping", &[("jitter", Field::F64(jitter))]);
             let left = self.left.get();
             if left > 0 {
                 self.left.set(left - 1);
